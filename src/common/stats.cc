@@ -6,6 +6,33 @@
 #include <numeric>
 
 namespace prorp {
+namespace {
+
+template <typename Sample>
+BoxPlot BoxPlotOf(const Sample& sample) {
+  BoxPlot b;
+  b.count = sample.count();
+  if (sample.empty()) return b;
+  b.min = sample.Min();
+  b.q1 = sample.Percentile(0.25);
+  b.median = sample.Percentile(0.5);
+  b.q3 = sample.Percentile(0.75);
+  b.max = sample.Max();
+  return b;
+}
+
+/// Linear interpolation between the closest ranks of a sorted sample of
+/// n > 0 values; value_at(k) is the value of rank k.
+template <typename ValueAt>
+double InterpolatePercentile(double q, size_t n, ValueAt value_at) {
+  double rank = q * static_cast<double>(n - 1);
+  size_t lo = static_cast<size_t>(std::floor(rank));
+  size_t hi = static_cast<size_t>(std::ceil(rank));
+  double frac = rank - static_cast<double>(lo);
+  return value_at(lo) + (value_at(hi) - value_at(lo)) * frac;
+}
+
+}  // namespace
 
 std::string BoxPlot::ToString() const {
   char buf[160];
@@ -43,29 +70,59 @@ double Summary::Percentile(double q) const {
   if (q <= 0) return Min();
   if (q >= 1) return Max();
   std::vector<double> sorted = Sorted();
-  double rank = q * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(std::floor(rank));
-  size_t hi = static_cast<size_t>(std::ceil(rank));
-  double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+  return InterpolatePercentile(q, sorted.size(),
+                               [&](size_t k) { return sorted[k]; });
 }
 
-BoxPlot Summary::ToBoxPlot() const {
-  BoxPlot b;
-  b.count = values_.size();
-  if (values_.empty()) return b;
-  b.min = Min();
-  b.q1 = Percentile(0.25);
-  b.median = Percentile(0.5);
-  b.q3 = Percentile(0.75);
-  b.max = Max();
-  return b;
-}
+BoxPlot Summary::ToBoxPlot() const { return BoxPlotOf(*this); }
 
 std::vector<double> Summary::Sorted() const {
   std::vector<double> sorted = values_;
   std::sort(sorted.begin(), sorted.end());
   return sorted;
+}
+
+void IntegerDistribution::Add(int64_t v, uint64_t times) {
+  if (times == 0) return;
+  counts_[v] += times;
+  count_ += times;
+  sum_ += v * static_cast<int64_t>(times);
+}
+
+double IntegerDistribution::Mean() const {
+  if (empty()) return 0;
+  return Sum() / static_cast<double>(count_);
+}
+
+double IntegerDistribution::Min() const {
+  return empty() ? 0 : static_cast<double>(counts_.begin()->first);
+}
+
+double IntegerDistribution::Max() const {
+  return empty() ? 0 : static_cast<double>(counts_.rbegin()->first);
+}
+
+int64_t IntegerDistribution::ValueAtRank(uint64_t k) const {
+  for (const auto& [value, n] : counts_) {
+    if (k < n) return value;
+    k -= n;
+  }
+  return counts_.rbegin()->first;
+}
+
+double IntegerDistribution::Percentile(double q) const {
+  if (empty()) return 0;
+  if (q <= 0) return Min();
+  if (q >= 1) return Max();
+  return InterpolatePercentile(q, count_, [&](size_t k) {
+    return static_cast<double>(ValueAtRank(k));
+  });
+}
+
+BoxPlot IntegerDistribution::ToBoxPlot() const { return BoxPlotOf(*this); }
+
+void IntegerDistribution::Merge(const IntegerDistribution& other) {
+  for (const auto& [value, n] : other.counts_) Add(value, n);
 }
 
 std::vector<CdfPoint> BuildCdf(const Summary& summary, size_t max_points) {

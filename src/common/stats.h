@@ -2,6 +2,8 @@
 #define PRORP_COMMON_STATS_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,41 @@ class Summary {
 
  private:
   std::vector<double> values_;
+};
+
+/// Exact distribution of an integer sample kept as value -> count, so
+/// its size grows with the number of distinct values rather than with the
+/// number of samples.  Count, Min, Max, Mean, Percentile and ToBoxPlot
+/// equal those of a Summary fed the same values.
+class IntegerDistribution {
+ public:
+  void Add(int64_t v, uint64_t times = 1);
+
+  uint64_t count() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+  double Mean() const;
+  double Min() const;
+  double Max() const;
+  double Sum() const { return static_cast<double>(sum_); }
+
+  /// As Summary::Percentile.
+  double Percentile(double q) const;
+
+  BoxPlot ToBoxPlot() const;
+
+  /// Distinct values in ascending order with their counts.
+  const std::map<int64_t, uint64_t>& counts() const { return counts_; }
+
+  void Merge(const IntegerDistribution& other);
+
+ private:
+  /// The value of rank `k` (0-based) in the sorted sample.
+  int64_t ValueAtRank(uint64_t k) const;
+
+  std::map<int64_t, uint64_t> counts_;
+  uint64_t count_ = 0;
+  int64_t sum_ = 0;
 };
 
 /// Points of an empirical CDF, for the CDF charts of Figures 3 and 10.

@@ -18,7 +18,8 @@ namespace {
 constexpr uint32_t kCheckpointMagic = 0x5052434a;  // "PRCJ"
 // v2 appends the unacked-dispatch section (transport layer).
 // v3 appends the failover counters (node health tracker).
-constexpr uint32_t kCheckpointVersion = 3;
+// v4 stores the resumed-per-iteration sample as (value, count) pairs.
+constexpr uint32_t kCheckpointVersion = 4;
 
 void PutBytes(std::vector<uint8_t>& out, const void* p, size_t n) {
   const uint8_t* b = static_cast<const uint8_t*>(p);
@@ -109,9 +110,12 @@ struct ServiceStateCodec {
       Put<int64_t>(out, f.deadline);
       Put<uint8_t>(out, f.hedged ? 1 : 0);
     }
-    const std::vector<double>& samples = s.resumed_per_iteration_.values();
-    Put<uint64_t>(out, samples.size());
-    for (double v : samples) Put<double>(out, v);
+    const auto& resumed_counts = s.resumed_per_iteration_.counts();
+    Put<uint64_t>(out, resumed_counts.size());
+    for (const auto& [value, n] : resumed_counts) {
+      Put<int64_t>(out, value);
+      Put<uint64_t>(out, n);
+    }
 
     const DiagnosticsReport& d = s.diagnostics_;
     Put<uint64_t>(out, d.observed_iterations);
@@ -224,10 +228,12 @@ struct ServiceStateCodec {
       if (r.failed) break;
       s->in_flight_[db] = f;
     }
-    s->resumed_per_iteration_ = Summary();
-    uint64_t n_samples = r.Get<uint64_t>();
-    for (uint64_t i = 0; i < n_samples && !r.failed; ++i) {
-      s->resumed_per_iteration_.Add(r.Get<double>());
+    s->resumed_per_iteration_ = IntegerDistribution();
+    uint64_t n_values = r.Get<uint64_t>();
+    for (uint64_t i = 0; i < n_values && !r.failed; ++i) {
+      int64_t value = r.Get<int64_t>();
+      uint64_t n = r.Get<uint64_t>();
+      if (!r.failed) s->resumed_per_iteration_.Add(value, n);
     }
 
     DiagnosticsReport& d = s->diagnostics_;

@@ -1240,7 +1240,7 @@ Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
     if (quota != nullptr) rec.flags |= kJfSlowStart;
     if (!Journal(rec)) return fence_status_;
   }
-  resumed_per_iteration_.Add(static_cast<double>(resumed));
+  resumed_per_iteration_.Add(static_cast<int64_t>(resumed));
   total_resumed_ += resumed;
   return resumed;
 }
@@ -1422,7 +1422,7 @@ Status ManagementService::ApplyForRecovery(const JournalRecord& rec) {
         ++diagnostics_.slow_start_ticks;
         ++ramp_step_;
       }
-      resumed_per_iteration_.Add(static_cast<double>(rec.stats[0]));
+      resumed_per_iteration_.Add(static_cast<int64_t>(rec.stats[0]));
       total_resumed_ += rec.stats[0];
       quota_this_iteration_ = rec.stats[3];
       reactive_arrivals_ = 0;

@@ -273,7 +273,7 @@ class ManagementService {
   bool IsUnacked(DbId db) const { return unacked_.count(db) != 0; }
 
   /// Number of databases resumed per iteration so far (box-plot source).
-  const Summary& resumed_per_iteration() const {
+  const IntegerDistribution& resumed_per_iteration() const {
     return resumed_per_iteration_;
   }
   const DiagnosticsReport& diagnostics() const { return diagnostics_; }
@@ -484,7 +484,7 @@ class ManagementService {
   /// folded into that iteration's resumed count (and its journaled
   /// kIteration stats) so replay stays exact.
   uint64_t async_resumed_pending_ = 0;
-  Summary resumed_per_iteration_;
+  IntegerDistribution resumed_per_iteration_;
   DiagnosticsReport diagnostics_;
   uint64_t total_resumed_ = 0;
 

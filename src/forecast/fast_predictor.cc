@@ -1,6 +1,7 @@
 #include "forecast/fast_predictor.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "forecast/window_selection.h"
@@ -12,48 +13,87 @@ Result<ActivityPrediction> FastPredictor::PredictNextActivity(
   const PredictionConfig& cfg = config_;
   PRORP_RETURN_IF_ERROR(cfg.Validate());
   const int64_t num_windows = cfg.NumWindows();
-  const int64_t num_seasons = cfg.NumSeasons();
   if (num_windows <= 0) return ActivityPrediction::None();
+  const int64_t num_seasons = cfg.NumSeasons();
+  const DurationSeconds w = cfg.window_size;
+  const DurationSeconds s = cfg.window_slide;
+  const DurationSeconds p = cfg.seasonality;
+  // Every window of one season lies in [base, base + span).  Validate()
+  // guarantees span <= prediction_horizon <= seasonality, so the seasons'
+  // spans are disjoint and one ascending scan covers them all.
+  const DurationSeconds span = (num_windows - 1) * s + w;
+  PRORP_ASSIGN_OR_RETURN(
+      std::vector<EpochSeconds> logins,
+      history.CollectLogins(now - num_seasons * p, now - p + span));
 
-  std::vector<WindowStats> stats(
-      static_cast<size_t>(std::max<int64_t>(num_windows, 0)));
-  for (WindowStats& s : stats) {
-    s.first_login_offset = cfg.window_size;
-    s.last_login_offset = 0;
-  }
-
-  // One bulk scan per season; monotone two-pointer sweep over windows.
-  for (int64_t season = 1; season <= num_seasons; ++season) {
-    EpochSeconds base = now - season * cfg.seasonality;
-    EpochSeconds span_end =
-        base + (num_windows - 1) * cfg.window_slide + cfg.window_size;
-    PRORP_ASSIGN_OR_RETURN(std::vector<EpochSeconds> logins,
-                           history.CollectLogins(base, span_end));
-    size_t lo = 0;  // first login >= window start
-    size_t hi = 0;  // first login >= window end
-    for (int64_t i = 0; i < num_windows; ++i) {
-      EpochSeconds win_start = base + i * cfg.window_slide;
-      EpochSeconds win_end = win_start + cfg.window_size;
-      while (lo < logins.size() && logins[lo] < win_start) ++lo;
-      if (hi < lo) hi = lo;
-      // Window ranges are half-open [win_start, win_end), matching the
-      // stores' LoginMinMax bounds.
-      while (hi < logins.size() && logins[hi] < win_end) ++hi;
-      if (lo < hi) {
-        WindowStats& s = stats[static_cast<size_t>(i)];
-        ++s.seasons_with_activity;
-        s.first_login_offset =
-            std::min(s.first_login_offset, logins[lo] - win_start);
-        s.last_login_offset =
-            std::max(s.last_login_offset, logins[hi - 1] - win_start);
+  // Per-window buckets, not yet statistics: seasons_with_activity is a
+  // difference array of the seasons' window coverage, first_login_offset
+  // the smallest season offset t whose last containing window is this
+  // one, last_login_offset the largest t whose first containing window is
+  // this one.
+  constexpr DurationSeconds kNoLogin = std::numeric_limits<int64_t>::max();
+  std::vector<WindowStats> buckets(static_cast<size_t>(num_windows),
+                                   WindowStats{0, kNoLogin, -1});
+  size_t next = 0;
+  for (int64_t season = num_seasons; season >= 1; --season) {
+    const EpochSeconds base = now - season * p;
+    while (next < logins.size() && logins[next] < base) ++next;  // gap
+    // Windows [run_lo, run_hi] are covered by this season so far.
+    int64_t run_lo = 0;
+    int64_t run_hi = -1;
+    auto close_run = [&] {
+      if (run_hi < 0) return;
+      ++buckets[static_cast<size_t>(run_lo)].seasons_with_activity;
+      if (run_hi + 1 < num_windows) {
+        --buckets[static_cast<size_t>(run_hi + 1)].seasons_with_activity;
       }
+    };
+    for (; next < logins.size() && logins[next] < base + span; ++next) {
+      const DurationSeconds t = logins[next] - base;
+      // Window i = [i*s, i*s + w) contains t iff lo <= i <= hi.
+      const int64_t lo = t < w ? 0 : (t - w) / s + 1;
+      const int64_t hi = std::min(num_windows - 1, t / s);
+      WindowStats& at_hi = buckets[static_cast<size_t>(hi)];
+      at_hi.first_login_offset = std::min(at_hi.first_login_offset, t);
+      WindowStats& at_lo = buckets[static_cast<size_t>(lo)];
+      at_lo.last_login_offset = std::max(at_lo.last_login_offset, t);
+      if (lo > run_hi) {
+        close_run();
+        run_lo = lo;
+      }
+      run_hi = hi;  // hi is non-decreasing in t
     }
+    close_run();
   }
 
-  return SelectPrediction(
-      cfg, now, [&](EpochSeconds win_start) -> Result<WindowStats> {
-        int64_t i = (win_start - now) / cfg.window_slide;
-        return stats[static_cast<size_t>(i)];
+  // Windows are finalized lazily, in the ascending order the selection
+  // visits them: seasons_with_activity is the prefix sum of the difference
+  // array; the latest login is the largest t < i*s + w, a prefix-max over
+  // the lo buckets; the earliest is the smallest t >= i*s, found in the
+  // first non-empty hi bucket at or after i (hi buckets hold ascending,
+  // disjoint ranges of t).  Both lie inside window i when it is active.
+  int64_t i = -1;
+  int64_t active = 0;
+  DurationSeconds max_t = -1;
+  int64_t first_bucket = 0;
+  return SelectValidatedPrediction(
+      cfg, now, [&](EpochSeconds) -> WindowStats {
+        ++i;
+        const WindowStats& b = buckets[static_cast<size_t>(i)];
+        active += b.seasons_with_activity;
+        max_t = std::max(max_t, b.last_login_offset);
+        // Algorithm 4 lines 11-12 for a window no season touched.
+        if (active == 0) return WindowStats{0, w, 0};
+        first_bucket = std::max(first_bucket, i);
+        while (buckets[static_cast<size_t>(first_bucket)].first_login_offset ==
+               kNoLogin) {
+          ++first_bucket;
+        }
+        return WindowStats{
+            active,
+            buckets[static_cast<size_t>(first_bucket)].first_login_offset -
+                i * s,
+            max_t - i * s};
       });
 }
 

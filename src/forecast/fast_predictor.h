@@ -10,14 +10,17 @@ namespace prorp::forecast {
 /// Vectorized Algorithm 4: algebraically identical to
 /// SlidingWindowPredictor but restructured for fleet-scale simulation.
 /// Instead of one range query per (window, season) pair — p/s x h queries
-/// per prediction — it performs one bulk login scan per season and sweeps
-/// all window positions with two monotone pointers:
+/// per prediction — it performs one bulk login scan over all previous
+/// seasons and maps each login to the run of windows that contain it,
+/// building every window's statistics with a difference array, a
+/// suffix-min and a prefix-max:
 ///
-///   O(h/season x (logins_per_season + p/s))
+///   O(logins in h + p/s)
 ///
-/// versus the faithful p/s x h/season x O(log m).  Property tests assert
-/// both produce bit-identical predictions on random histories; the
-/// ablation bench quantifies the speedup.
+/// versus the faithful p/s x h/season x O(log m).  Property and
+/// boundary tests assert both produce bit-identical predictions; the
+/// ablation bench quantifies the speedup.  Holds no mutable state, so one
+/// instance may serve many threads.
 class FastPredictor : public Predictor {
  public:
   explicit FastPredictor(PredictionConfig config) : config_(config) {}

@@ -230,7 +230,7 @@ struct SimReport {
   ///                      + pending_failed.
   uint64_t pending_failed = 0;
   /// Databases proactively resumed per operation iteration (Figure 11).
-  Summary resumed_per_iteration;
+  IntegerDistribution resumed_per_iteration;
   /// Reactive login-to-resources delay samples inside the measurement
   /// window (storm layer only; empty otherwise — the legacy model's delay
   /// is the constant resume_latency).

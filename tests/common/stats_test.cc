@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 namespace prorp {
 namespace {
 
@@ -86,6 +88,85 @@ TEST(CdfTest, FormatContainsLabelAndRows) {
   std::string text = FormatCdf(BuildCdf(s, 4), "history KB");
   EXPECT_NE(text.find("history KB"), std::string::npos);
   EXPECT_NE(text.find("100.0%"), std::string::npos);
+}
+
+void ExpectSameAsSummary(const IntegerDistribution& d, const Summary& s) {
+  EXPECT_EQ(d.count(), s.count());
+  EXPECT_EQ(d.empty(), s.empty());
+  EXPECT_EQ(d.Mean(), s.Mean());
+  EXPECT_EQ(d.Min(), s.Min());
+  EXPECT_EQ(d.Max(), s.Max());
+  EXPECT_EQ(d.Sum(), s.Sum());
+  for (double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(d.Percentile(q), s.Percentile(q)) << "q=" << q;
+  }
+  BoxPlot a = d.ToBoxPlot();
+  BoxPlot b = s.ToBoxPlot();
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.q1, b.q1);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.q3, b.q3);
+  EXPECT_EQ(a.max, b.max);
+}
+
+TEST(IntegerDistributionTest, EmptyAndSingleSampleMatchSummary) {
+  IntegerDistribution d;
+  Summary s;
+  ExpectSameAsSummary(d, s);
+  d.Add(-7);
+  s.Add(-7);
+  ExpectSameAsSummary(d, s);
+  EXPECT_EQ(d.counts().size(), 1u);
+}
+
+TEST(IntegerDistributionTest, RandomSamplesMatchSummary) {
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    IntegerDistribution d;
+    Summary s;
+    int n = static_cast<int>(rng.NextInt(0, 300));
+    int64_t max_value = rng.NextInt(0, 50);
+    for (int i = 0; i < n; ++i) {
+      int64_t v = rng.NextInt(-3, max_value);
+      d.Add(v);
+      s.Add(static_cast<double>(v));
+    }
+    ExpectSameAsSummary(d, s);
+    EXPECT_LE(d.counts().size(), static_cast<size_t>(max_value + 4));
+  }
+}
+
+TEST(IntegerDistributionTest, MergeMatchesMergedSummary) {
+  Rng rng(12);
+  for (int trial = 0; trial < 50; ++trial) {
+    IntegerDistribution merged;
+    Summary merged_summary;
+    int shards = static_cast<int>(rng.NextInt(1, 5));
+    for (int shard = 0; shard < shards; ++shard) {
+      IntegerDistribution d;
+      Summary s;
+      int n = static_cast<int>(rng.NextInt(0, 40));
+      for (int i = 0; i < n; ++i) {
+        int64_t v = rng.NextInt(0, 12);
+        d.Add(v);
+        s.Add(static_cast<double>(v));
+      }
+      merged.Merge(d);
+      merged_summary.Merge(s);
+    }
+    ExpectSameAsSummary(merged, merged_summary);
+  }
+}
+
+TEST(IntegerDistributionTest, AddWithCountEqualsRepeatedAdds) {
+  IntegerDistribution a;
+  IntegerDistribution b;
+  a.Add(4, 3);
+  a.Add(9, 0);
+  for (int i = 0; i < 3; ++i) b.Add(4);
+  EXPECT_EQ(a.counts(), b.counts());
+  EXPECT_EQ(a.count(), 3u);
 }
 
 }  // namespace

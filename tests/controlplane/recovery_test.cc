@@ -124,6 +124,64 @@ TEST(CheckpointTest, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(ReadFileBytes(p1), ReadFileBytes(p2));
 }
 
+void ExpectSameBoxPlot(const BoxPlot& a, const BoxPlot& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.q1, b.q1);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.q3, b.q3);
+  EXPECT_EQ(a.max, b.max);
+}
+
+// The resumed-per-iteration distribution (Figure 11) is checkpointed as
+// (value, count) pairs: a restore keeps its box plot, and the checkpoint
+// of a long-running plane grows with the number of distinct per-iteration
+// counts, not with the number of iterations.
+TEST(CheckpointTest, ResumedPerIterationStaysConstantSize) {
+  std::string dir = FreshDir("ckpt_resumed_dist");
+  auto meta = MetadataStore::Open();
+  ASSERT_TRUE(meta.ok());
+  auto ok_cb = [](const ResumeAttempt&, EpochSeconds) { return Status::OK(); };
+  ControlPlaneConfig config = SmallConfig();
+  ManagementService svc(meta->get(), config, ok_cb);
+  int iterations = 0;
+  auto run_until = [&](int target) {
+    for (; iterations < target; ++iterations) {
+      EpochSeconds now = kT0 + iterations * config.resume_operation_period;
+      // 0-3 databases come due in the next iteration's pre-warm window.
+      for (DbId db = 1; db <= static_cast<DbId>(iterations % 4); ++db) {
+        ASSERT_TRUE((*meta)
+                        ->UpsertState(db, DbState::kPhysicallyPaused,
+                                      now + config.prewarm_interval + 1)
+                        .ok());
+      }
+      ASSERT_TRUE(svc.RunOnce(now).ok());
+    }
+  };
+  auto checkpoint_bytes = [&](const std::string& path) {
+    EXPECT_TRUE(SaveCheckpoint(path, **meta, svc, 1, iterations).ok());
+    return ReadFileBytes(path).size();
+  };
+
+  run_until(10);
+  size_t small = checkpoint_bytes(dir + "/c10.bin");
+  run_until(10000);
+  size_t large = checkpoint_bytes(dir + "/c10000.bin");
+  const IntegerDistribution& dist = svc.resumed_per_iteration();
+  ASSERT_EQ(dist.count(), 10000u);
+  ASSERT_GT(dist.counts().size(), 1u);
+  constexpr size_t kPairBytes = 16;  // int64 value + uint64 count
+  EXPECT_LE(large - small, kPairBytes * dist.counts().size());
+
+  auto meta2 = MetadataStore::Open();
+  ASSERT_TRUE(meta2.ok());
+  ManagementService svc2(meta2->get(), config, ok_cb);
+  ASSERT_TRUE(LoadCheckpoint(dir + "/c10000.bin", meta2->get(), &svc2).ok());
+  ExpectSameBoxPlot(svc2.resumed_per_iteration().ToBoxPlot(),
+                    dist.ToBoxPlot());
+  EXPECT_EQ(svc2.resumed_per_iteration().Mean(), dist.Mean());
+}
+
 // Satellite: a crash mid-checkpoint-write must leave the previous
 // checkpoint untouched (atomic tmp -> rename publication), under both the
 // generic snapshot_mid_copy point and the control-plane-specific one.

@@ -324,6 +324,188 @@ TEST(PredictorEquivalenceTest, SqlStoreMatchesMemStore) {
   EXPECT_TRUE(a->HasPrediction());
 }
 
+/// Forwards to another store and counts the range reads Algorithm 4
+/// issues.
+class CountingHistoryStore : public history::HistoryStore {
+ public:
+  explicit CountingHistoryStore(const history::HistoryStore& inner)
+      : inner_(inner) {}
+
+  Status InsertHistory(EpochSeconds, int) override {
+    return Status::FailedPrecondition("read-only");
+  }
+  Result<bool> DeleteOldHistory(DurationSeconds, EpochSeconds) override {
+    return Status::FailedPrecondition("read-only");
+  }
+  Result<history::LoginRangeAgg> LoginMinMax(EpochSeconds lo,
+                                             EpochSeconds hi) const override {
+    ++min_max_calls;
+    return inner_.LoginMinMax(lo, hi);
+  }
+  Result<std::vector<EpochSeconds>> CollectLogins(
+      EpochSeconds lo, EpochSeconds hi) const override {
+    ++collect_calls;
+    return inner_.CollectLogins(lo, hi);
+  }
+  Result<std::vector<history::HistoryTuple>> ReadAll() const override {
+    return inner_.ReadAll();
+  }
+  Result<EpochSeconds> MinTimestamp() const override {
+    return inner_.MinTimestamp();
+  }
+  uint64_t NumTuples() const override { return inner_.NumTuples(); }
+
+  mutable int collect_calls = 0;
+  mutable int min_max_calls = 0;
+
+ private:
+  const history::HistoryStore& inner_;
+};
+
+/// Configurations whose windows do and do not tile the slide: w a
+/// multiple of s, w not a multiple of s, w == s, and weekly seasonality
+/// whose one-day horizon leaves a six-day gap between seasons.
+std::vector<PredictionConfig> BoundaryConfigs() {
+  std::vector<PredictionConfig> out;
+  PredictionConfig daily;  // w = 7 h, s = 5 min: w multiple of s
+  daily.history_length = Days(6);
+  out.push_back(daily);
+  PredictionConfig odd;
+  odd.history_length = Days(5);
+  odd.window_size = Minutes(50);
+  odd.window_slide = Minutes(15);
+  odd.prediction_horizon = Hours(20);  // span < season: gap too
+  out.push_back(odd);
+  PredictionConfig tiled;
+  tiled.history_length = Days(4);
+  tiled.window_size = Hours(2);
+  tiled.window_slide = Hours(2);
+  out.push_back(tiled);
+  PredictionConfig weekly;
+  weekly.seasonality = Weeks(1);
+  weekly.history_length = Weeks(4);
+  weekly.window_size = Hours(3) + Minutes(10);
+  weekly.window_slide = Minutes(40);
+  out.push_back(weekly);
+  PredictionConfig weekly_full;
+  weekly_full.seasonality = Weeks(1);
+  weekly_full.prediction_horizon = Weeks(1);
+  weekly_full.history_length = Weeks(3);
+  weekly_full.window_size = Hours(5);
+  weekly_full.window_slide = Hours(1) + Minutes(7);
+  out.push_back(weekly_full);
+  return out;
+}
+
+/// Logins placed exactly on the boundaries the vectorized predictor's
+/// index arithmetic must get right, in a random subset of the seasons
+/// (the others stay empty), plus logouts that must be ignored.
+std::vector<history::HistoryTuple> BoundaryHistory(
+    const PredictionConfig& cfg, EpochSeconds now, Rng& rng) {
+  const int64_t nw = cfg.NumWindows();
+  const DurationSeconds s = cfg.window_slide;
+  const DurationSeconds w = cfg.window_size;
+  const DurationSeconds span = (nw - 1) * s + w;
+  const DurationSeconds gap = cfg.seasonality - span;
+  std::vector<history::HistoryTuple> logins;
+  for (int64_t season = 1; season <= cfg.NumSeasons(); ++season) {
+    if (rng.NextBool(0.3)) continue;  // empty season
+    const EpochSeconds base = now - season * cfg.seasonality;
+    std::vector<DurationSeconds> offsets = {0, span - 1};
+    for (int k = 0; k < 3; ++k) {
+      int64_t i = rng.NextInt(0, nw - 1);
+      offsets.push_back(i * s);
+      offsets.push_back(i * s + w - 1);
+      offsets.push_back(i * s + w);  // first second past window i
+    }
+    offsets.push_back((nw - 1) * s + rng.NextInt(0, w - 1));  // last window
+    if (gap > 0) {
+      offsets.push_back(span);  // first second of the gap
+      offsets.push_back(span + rng.NextInt(0, gap - 1));
+      offsets.push_back(cfg.seasonality - 1);  // last second of the gap
+    }
+    for (DurationSeconds t : offsets) {
+      if (rng.NextBool(0.6)) logins.push_back({base + t, kEventLogin});
+    }
+  }
+  // Just outside the scanned range on both ends.
+  logins.push_back({now - cfg.NumSeasons() * cfg.seasonality - 1,
+                    kEventLogin});
+  logins.push_back({now - cfg.seasonality + span, kEventLogin});
+  std::vector<history::HistoryTuple> tuples = logins;
+  for (const history::HistoryTuple& t : logins) {
+    if (rng.NextBool(0.5)) {
+      tuples.push_back({t.time_snapshot + 1, kEventLogout});
+    }
+  }
+  return tuples;
+}
+
+/// Thresholds that select at every reachable confidence level.
+double BoundaryThreshold(const PredictionConfig& cfg, Rng& rng) {
+  if (rng.NextBool(0.2)) return 0.0;
+  return static_cast<double>(rng.NextInt(1, cfg.NumSeasons())) /
+         static_cast<double>(cfg.NumSeasons());
+}
+
+TEST(PredictorEquivalenceTest, BoundaryLoginsMatchFaithfulOverMemStore) {
+  Rng rng(2024);
+  for (PredictionConfig cfg : BoundaryConfigs()) {
+    ASSERT_TRUE(cfg.Validate().ok());
+    for (int trial = 0; trial < 200; ++trial) {
+      // A `now` on and off the slide grid.
+      EpochSeconds now = kAnchor + (trial % 2 == 0
+                                        ? rng.NextInt(0, 6) * cfg.window_slide
+                                        : rng.NextInt(0, Days(1) - 1));
+      MemHistoryStore store;
+      for (const history::HistoryTuple& t : BoundaryHistory(cfg, now, rng)) {
+        ASSERT_TRUE(store.InsertHistory(t.time_snapshot, t.event_type).ok());
+      }
+      cfg.confidence_threshold = BoundaryThreshold(cfg, rng);
+      cfg.literal_break = rng.NextBool(0.2);
+      SlidingWindowPredictor slow(cfg);
+      FastPredictor fast(cfg);
+      CountingHistoryStore counted(store);
+      auto a = slow.PredictNextActivity(store, now);
+      auto b = fast.PredictNextActivity(counted, now);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      EXPECT_EQ(*a, *b) << "trial " << trial << " w=" << cfg.window_size
+                        << " s=" << cfg.window_slide << " c="
+                        << cfg.confidence_threshold << " expected "
+                        << a->ToString() << " got " << b->ToString();
+      EXPECT_EQ(counted.collect_calls, 1);
+      EXPECT_EQ(counted.min_max_calls, 0);
+    }
+  }
+}
+
+TEST(PredictorEquivalenceTest, BoundaryLoginsMatchFaithfulOverSqlStore) {
+  Rng rng(7);
+  for (PredictionConfig cfg : BoundaryConfigs()) {
+    for (int trial = 0; trial < 3; ++trial) {
+      EpochSeconds now = kAnchor + rng.NextInt(0, Days(1) - 1);
+      auto sql_store = history::SqlHistoryStore::Open();
+      ASSERT_TRUE(sql_store.ok());
+      for (const history::HistoryTuple& t : BoundaryHistory(cfg, now, rng)) {
+        ASSERT_TRUE(
+            (*sql_store)->InsertHistory(t.time_snapshot, t.event_type).ok());
+      }
+      cfg.confidence_threshold = BoundaryThreshold(cfg, rng);
+      SlidingWindowPredictor slow(cfg);
+      FastPredictor fast(cfg);
+      CountingHistoryStore counted(**sql_store);
+      auto a = slow.PredictNextActivity(**sql_store, now);
+      auto b = fast.PredictNextActivity(counted, now);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      EXPECT_EQ(*a, *b) << "trial " << trial << " w=" << cfg.window_size
+                        << " s=" << cfg.window_slide;
+      EXPECT_EQ(counted.collect_calls, 1);
+    }
+  }
+}
+
 TEST(BaselinePredictorsTest, NeverPredictsNothing) {
   MemHistoryStore store;
   NeverPredictor never;
