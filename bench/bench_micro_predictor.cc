@@ -2,7 +2,9 @@
 // the faithful SQL stored procedure (p/s x h range queries, the paper's
 // production implementation whose latency Figure 10(c) reports) versus
 // the vectorized FastPredictor the fleet simulator uses, across history
-// sizes.
+// sizes.  The *FullHorizon cases put each day's only login at the end of
+// the horizon, so the faithful predictor scans nearly every window before
+// it selects one.
 
 #include <benchmark/benchmark.h>
 
@@ -16,12 +18,16 @@ namespace {
 
 constexpr EpochSeconds kNow = Days(1004);
 
+/// Fills 28 days of history, each day's first login at `first_login`
+/// past midnight.  The default 06:00 falls in the first 7-h window from
+/// kNow (midnight); 23:30 is only in the last ones.
 template <typename Store>
-void Fill(Store& store, int sessions_per_day) {
+void Fill(Store& store, int sessions_per_day,
+          DurationSeconds first_login = Hours(6)) {
   for (int d = 1; d <= 28; ++d) {
     EpochSeconds day = kNow - Days(d);
     for (int s = 0; s < sessions_per_day; ++s) {
-      EpochSeconds login = day + Hours(6) + s * Minutes(30);
+      EpochSeconds login = day + first_login + s * Minutes(30);
       (void)store.InsertHistory(login, history::kEventLogin);
       (void)store.InsertHistory(login + Minutes(20),
                                 history::kEventLogout);
@@ -40,6 +46,16 @@ void BM_FaithfulSqlPrediction(benchmark::State& state) {
 }
 BENCHMARK(BM_FaithfulSqlPrediction)->Arg(1)->Arg(8)->Arg(32)
     ->Unit(benchmark::kMillisecond);
+
+void BM_FaithfulSqlFullHorizon(benchmark::State& state) {
+  auto store = history::SqlHistoryStore::Open().value();
+  Fill(*store, 1, Hours(23) + Minutes(30));
+  SlidingWindowPredictor predictor(PredictionConfig{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(predictor.PredictNextActivity(*store, kNow));
+  }
+}
+BENCHMARK(BM_FaithfulSqlFullHorizon)->Unit(benchmark::kMillisecond);
 
 void BM_FaithfulOverMemStore(benchmark::State& state) {
   history::MemHistoryStore store;
@@ -62,6 +78,16 @@ void BM_FastPrediction(benchmark::State& state) {
 }
 BENCHMARK(BM_FastPrediction)->Arg(1)->Arg(8)->Arg(32)
     ->Unit(benchmark::kMicrosecond);
+
+void BM_FastPredictionFullHorizon(benchmark::State& state) {
+  history::MemHistoryStore store;
+  Fill(store, 1, Hours(23) + Minutes(30));
+  FastPredictor predictor(PredictionConfig{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(predictor.PredictNextActivity(store, kNow));
+  }
+}
+BENCHMARK(BM_FastPredictionFullHorizon)->Unit(benchmark::kMicrosecond);
 
 void BM_WeeklySeasonality(benchmark::State& state) {
   history::MemHistoryStore store;

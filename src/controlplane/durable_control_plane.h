@@ -16,7 +16,8 @@
 
 namespace prorp::controlplane {
 
-/// The durable control plane: MetadataStore + ManagementService wired to
+/// The durable control plane: an index-only MetadataStore (no SQL
+/// mirror; the journal is its durable copy) + ManagementService wired to
 /// the write-ahead journal and periodic checkpoints, with an Open() that
 /// doubles as Recover() — reopening the directory after a (simulated)
 /// control-plane death replays the journal on top of the newest

@@ -126,9 +126,8 @@ Result<std::unique_ptr<ControlPlaneJournal>> ControlPlaneJournal::Open(
 
 Status ControlPlaneJournal::Append(const JournalRecord& record) {
   if (!dead_.ok()) return dead_;
-  uint64_t pre_size = 0;
-  if (auto size = wal_->SizeBytes(); size.ok()) pre_size = *size;
-  Status s = wal_->Append(Encode(next_seq_, record));
+  storage::WalRecord wal_record = Encode(next_seq_, record);
+  Status s = wal_->Append(wal_record);
   if (!s.ok()) {
     dead_ = s;
     return dead_;
@@ -142,13 +141,12 @@ Status ControlPlaneJournal::Append(const JournalRecord& record) {
       !crash.ok()) {
     uint64_t payload = faults::CrashPointRegistry::Global().payload();
     if (payload > 0) {
-      uint64_t frame_size = pre_size;
-      if (auto size = wal_->SizeBytes(); size.ok()) {
-        frame_size = *size - pre_size;
-      }
-      if (frame_size > 0) {
-        (void)!::truncate(path_.c_str(),
-                          static_cast<off_t>(pre_size + payload % frame_size));
+      // The frame ends the file, so it starts at the size minus its
+      // length; the hot path pays no size query before each append.
+      uint64_t frame = storage::WriteAheadLog::FrameBytes(wal_record);
+      if (auto size = wal_->SizeBytes(); size.ok() && *size >= frame) {
+        (void)!::truncate(path_.c_str(), static_cast<off_t>(
+                                             *size - frame + payload % frame));
       }
     }
     dead_ = crash;

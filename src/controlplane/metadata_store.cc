@@ -97,28 +97,21 @@ Status MetadataStore::ApplyUpsert(DbId db, policy::DbState state,
     entries_.resize(std::max<size_t>(db + 1, entries_.size() * 2));
   }
   Entry& entry = entries_[db];
+  if (db_ != nullptr) {
+    sql::Params params{{"db", static_cast<int64_t>(db)},
+                       {"state", StateCode(state)},
+                       {"pred", predicted_start}};
+    PRORP_RETURN_IF_ERROR(
+        db_->ExecuteStatement(entry.present ? update_stmt_ : insert_stmt_,
+                              params)
+            .status());
+  }
   if (!entry.present) {
-    if (db_ != nullptr) {
-      sql::Params params{{"db", static_cast<int64_t>(db)},
-                         {"state", StateCode(state)},
-                         {"pred", predicted_start}};
-      PRORP_RETURN_IF_ERROR(
-          db_->ExecuteStatement(insert_stmt_, params).status());
-    }
     ++live_;
-  } else {
+  } else if (entry.state == policy::DbState::kPhysicallyPaused &&
+             entry.predicted_start > 0) {
     // Drop the stale index entry before overwriting.
-    if (entry.state == policy::DbState::kPhysicallyPaused &&
-        entry.predicted_start > 0) {
-      resume_index_.erase({entry.predicted_start, db});
-    }
-    if (db_ != nullptr) {
-      sql::Params params{{"db", static_cast<int64_t>(db)},
-                         {"state", StateCode(state)},
-                         {"pred", predicted_start}};
-      PRORP_RETURN_IF_ERROR(
-          db_->ExecuteStatement(update_stmt_, params).status());
-    }
+    resume_index_.erase({entry.predicted_start, db});
   }
   entry = {state, predicted_start, true};
   if (state == policy::DbState::kPhysicallyPaused && predicted_start > 0) {

@@ -30,27 +30,24 @@ struct MissedResume {
 /// The metadata store of the Management Service: the sys.databases table
 /// Algorithm 5 queries (database_id, state, start_of_pred_activity).
 ///
-/// Two query paths are maintained and kept consistent:
-///  * the faithful SQL table, scanned exactly per Algorithm 5 lines 2-6
-///    (SelectDueForResumeSql), and
-///  * an ordered secondary index on (start_of_pred_activity, database_id)
-///    restricted to physically paused databases (SelectDueForResume) — the
-///    production-grade access path that makes a once-a-minute scan over
-///    hundreds of thousands of databases cheap.
-/// Property tests assert the two return identical sets.
+/// Algorithm 5 lines 2-6 are answered from an ordered secondary index on
+/// (start_of_pred_activity, database_id) restricted to physically paused
+/// databases (SelectDueForResume), which makes a once-a-minute scan over
+/// hundreds of thousands of databases cheap.  The faithful SQL table,
+/// scanned literally (SelectDueForResumeSql), is an opt-in validation
+/// oracle; property tests assert the two return identical sets.
 class MetadataStore {
  public:
-  /// Which storage backs the store.  kSqlMirrored (default) maintains
-  /// the faithful sys.databases SQL table alongside the in-memory entry
-  /// map and resume index.  kIndexOnly drops the SQL mirror — every
-  /// query answered from the entry map / index stays bit-identical, but
-  /// SelectDueForResumeSql becomes unavailable.  Million-database scale
-  /// runs use kIndexOnly: the per-transition SQL upsert dominates the
-  /// simulator's hot loop otherwise.
+  /// Which storage backs the store.  kIndexOnly (default) keeps the dense
+  /// entry array and the resume index only; SelectDueForResumeSql answers
+  /// FailedPrecondition.  kSqlMirrored also maintains the sys.databases
+  /// SQL table, for validation runs that read the literal scan: every
+  /// upsert then pays a SQL UPDATE/INSERT, about half the cost of a
+  /// journaled upsert on the durable login path.
   enum class Backing { kSqlMirrored, kIndexOnly };
 
   static Result<std::unique_ptr<MetadataStore>> Open(
-      Backing backing = Backing::kSqlMirrored);
+      Backing backing = Backing::kIndexOnly);
 
   MetadataStore(const MetadataStore&) = delete;
   MetadataStore& operator=(const MetadataStore&) = delete;
@@ -66,7 +63,8 @@ class MetadataStore {
                                                DurationSeconds k,
                                                DurationSeconds period) const;
 
-  /// The same selection as a literal SQL scan of sys.databases.
+  /// The same selection as a literal SQL scan of sys.databases
+  /// (Backing::kSqlMirrored only).
   Result<std::vector<DbId>> SelectDueForResumeSql(
       EpochSeconds now, DurationSeconds k, DurationSeconds period) const;
 

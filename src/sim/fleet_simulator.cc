@@ -1027,10 +1027,12 @@ Result<SimReport> FleetSimulation::Run() {
         "use_null_history discards the history the proactive policy "
         "predicts from");
   }
-  if (options_.use_lite_metadata && options_.use_sql_scan_for_resume_op) {
+  if (options_.use_sql_scan_for_resume_op &&
+      (options_.use_lite_metadata ||
+       !options_.control_plane_journal_dir.empty())) {
     return Status::InvalidArgument(
-        "use_lite_metadata drops the SQL mirror the literal-scan "
-        "validation path reads");
+        "use_sql_scan_for_resume_op reads the sys.databases SQL mirror, "
+        "which only the non-lite, non-journaled metadata store keeps");
   }
   if (options_.failure_detection_enabled && !options_.use_transport) {
     return Status::InvalidArgument(

@@ -106,7 +106,9 @@ struct SimOptions {
   bool proactive_resume_enabled = true;
 
   /// Route Algorithm 5's selection through the literal SQL scan instead
-  /// of the ordered index (slow; for validation runs).
+  /// of the ordered index (slow; for validation runs).  Only the legacy
+  /// in-memory control plane without use_lite_metadata keeps the SQL
+  /// mirror this reads; the durable control plane is index-only.
   bool use_sql_scan_for_resume_op = false;
 
   // --- Durable control plane (DESIGN.md section 10) ---
@@ -186,13 +188,14 @@ struct SimOptions {
   /// Databases covered by sql_history_count keep their SQL-backed store.
   bool use_null_history = false;
 
-  /// Open the metadata store without its sys.databases SQL mirror
-  /// (MetadataStore::Backing::kIndexOnly).  Every selection the policies
-  /// use is answered from the in-memory entry map / resume index, so the
-  /// run stays bit-identical; only the literal-SQL validation path
-  /// (use_sql_scan_for_resume_op) is unavailable, and the two are
-  /// rejected together.  At million-database scale the per-transition
-  /// SQL upsert otherwise dominates the hot loop.
+  /// Open the legacy control plane's metadata store without its
+  /// sys.databases SQL mirror (MetadataStore::Backing::kIndexOnly, which
+  /// the durable control plane always uses).  Every selection the
+  /// policies use is answered from the in-memory entry map / resume
+  /// index, so the run stays bit-identical; only the literal-SQL
+  /// validation path (use_sql_scan_for_resume_op) is unavailable, and
+  /// the two are rejected together.  At million-database scale the
+  /// per-transition SQL upsert otherwise dominates the hot loop.
   bool use_lite_metadata = false;
 
   uint64_t seed = 42;

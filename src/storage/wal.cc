@@ -481,6 +481,10 @@ Result<uint64_t> WriteAheadLog::SizeBytes() const {
   return static_cast<uint64_t>(size);
 }
 
+uint64_t WriteAheadLog::FrameBytes(const WalRecord& record) {
+  return EncodeFrame(record).size();
+}
+
 WriteAheadLog::GroupCommitStats WriteAheadLog::group_commit_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

@@ -98,6 +98,9 @@ class WriteAheadLog {
   /// Current log size in bytes.
   Result<uint64_t> SizeBytes() const;
 
+  /// Bytes one Append of `record` adds to the log (its whole frame).
+  static uint64_t FrameBytes(const WalRecord& record);
+
   /// Attaches a fault plan consulted on every append/sync (kWalAppend and
   /// kWalSync ops fire once per logical record on both the serial and the
   /// group-commit path).  `plan` must outlive this log; pass nullptr to

@@ -6,13 +6,6 @@
 namespace prorp::workload {
 namespace {
 
-// Clamps a gaussian draw into [lo, hi].
-DurationSeconds GaussianClamped(Rng& rng, double mean, double stddev,
-                                DurationSeconds lo, DurationSeconds hi) {
-  double v = rng.NextGaussian(mean, stddev);
-  return std::clamp(static_cast<DurationSeconds>(v), lo, hi);
-}
-
 /// Weekday business usage with LOOSE within-day timing: the first login
 /// of a day lands anywhere inside a per-database window of several hours
 /// (different teams, time zones, automation schedules), which is what

@@ -58,7 +58,7 @@ TEST(MetadataStoreTest, ResumedDbLeavesResumeIndex) {
 }
 
 TEST(MetadataStoreTest, SqlScanMatchesIndexPath) {
-  auto store = MetadataStore::Open();
+  auto store = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
   ASSERT_TRUE(store.ok());
   Rng rng(2024);
   for (telemetry::DbId db = 0; db < 500; ++db) {
@@ -133,6 +133,9 @@ TEST_F(ManagementServiceTest, ResumesDueDatabases) {
 }
 
 TEST_F(ManagementServiceTest, SqlScanPathWorksToo) {
+  auto mirrored = MetadataStore::Open(MetadataStore::Backing::kSqlMirrored);
+  ASSERT_TRUE(mirrored.ok());
+  metadata_ = std::move(*mirrored);
   ManagementService service(metadata_.get(), Config(),
                             [&](telemetry::DbId db, EpochSeconds) {
                               return metadata_->UpsertState(

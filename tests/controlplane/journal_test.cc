@@ -117,6 +117,8 @@ TEST(ControlPlaneJournalTest, TornTailIsTrimmedOnReplay) {
     for (uint64_t i = 0; i < 3; ++i) {
       ASSERT_TRUE((*journal)->Append(SampleRecord(i)).ok());
     }
+    auto intact = (*journal)->SizeBytes();
+    ASSERT_TRUE(intact.ok());
     // Arm the pre-sync crash point with a payload that tears the frame:
     // the record is cut to a non-zero prefix, as if the crash hit
     // mid-write.
@@ -126,6 +128,8 @@ TEST(ControlPlaneJournalTest, TornTailIsTrimmedOnReplay) {
     Status s = (*journal)->Append(SampleRecord(3));
     EXPECT_FALSE(s.ok());
     EXPECT_FALSE((*journal)->healthy());
+    // Exactly the payload's prefix of the torn frame survives.
+    EXPECT_EQ(*(*journal)->SizeBytes(), *intact + 7);
     // Fail-stop: later appends refuse with the latched status.
     Status again = (*journal)->Append(SampleRecord(4));
     EXPECT_EQ(again.code(), s.code());

@@ -162,6 +162,22 @@ TEST(FleetSimulatorTest, SqlScanPathMatchesIndexPath) {
   EXPECT_DOUBLE_EQ(a->kpi.IdleTotalPct(), b->kpi.IdleTotalPct());
 }
 
+// Only the legacy, non-lite control plane keeps the SQL mirror the
+// literal scan reads; the other stores reject the flag up front.
+TEST(FleetSimulatorTest, SqlScanRequiresTheSqlMirror) {
+  std::vector<DbTrace> traces = {DailyTwoSessionTrace(0)};
+  SimOptions lite = BaseOptions(PolicyMode::kProactive);
+  lite.use_sql_scan_for_resume_op = true;
+  SimOptions journaled = lite;
+  lite.use_lite_metadata = true;
+  journaled.control_plane_journal_dir = testing::TempDir() + "/sql_scan_cp";
+  for (const SimOptions& options : {lite, journaled}) {
+    auto report = RunFleetSimulation(traces, options);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(FleetSimulatorTest, DeterministicInSeed) {
   auto traces = workload::GenerateFleet(workload::RegionEU1(), 50, kT0,
                                         kEnd, 11);
