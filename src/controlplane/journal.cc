@@ -1,7 +1,5 @@
 #include "controlplane/journal.h"
 
-#include <unistd.h>
-
 #include <cstring>
 
 #include "faults/crash_points.h"
@@ -13,12 +11,12 @@ namespace {
 ///   [u8 event][u64 epoch][u32 db][u8 cls][u32 flags][i32 attempt]
 ///   [i64 time][i64 enqueued_at][i64 not_before][i64 deadline]
 ///   [i64 predicted_start][u64 stats[4]]
-constexpr size_t kRecordBytes = 1 + 8 + 4 + 1 + 4 + 4 + 8 * 5 + 8 * 4;
+constexpr uint32_t kRecordBytes = 1 + 8 + 4 + 1 + 4 + 4 + 8 * 5 + 8 * 4;
 
 template <typename T>
-void Put(std::vector<uint8_t>& out, T v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
+uint8_t* Put(uint8_t* out, T v) {
+  std::memcpy(out, &v, sizeof(T));
+  return out + sizeof(T);
 }
 
 template <typename T>
@@ -29,24 +27,19 @@ T Get(const uint8_t*& p) {
   return v;
 }
 
-storage::WalRecord Encode(uint64_t seq, const JournalRecord& r) {
-  storage::WalRecord wr;
-  wr.type = storage::WalRecord::Type::kInsert;
-  wr.key = static_cast<int64_t>(seq);
-  wr.value.reserve(kRecordBytes);
-  Put<uint8_t>(wr.value, static_cast<uint8_t>(r.event));
-  Put<uint64_t>(wr.value, r.epoch);
-  Put<uint32_t>(wr.value, r.db);
-  Put<uint8_t>(wr.value, r.cls);
-  Put<uint32_t>(wr.value, r.flags);
-  Put<int32_t>(wr.value, r.attempt);
-  Put<int64_t>(wr.value, r.time);
-  Put<int64_t>(wr.value, r.enqueued_at);
-  Put<int64_t>(wr.value, r.not_before);
-  Put<int64_t>(wr.value, r.deadline);
-  Put<int64_t>(wr.value, r.predicted_start);
-  for (uint64_t s : r.stats) Put<uint64_t>(wr.value, s);
-  return wr;
+void Encode(const JournalRecord& r, uint8_t* p) {
+  p = Put<uint8_t>(p, static_cast<uint8_t>(r.event));
+  p = Put<uint64_t>(p, r.epoch);
+  p = Put<uint32_t>(p, r.db);
+  p = Put<uint8_t>(p, r.cls);
+  p = Put<uint32_t>(p, r.flags);
+  p = Put<int32_t>(p, r.attempt);
+  p = Put<int64_t>(p, r.time);
+  p = Put<int64_t>(p, r.enqueued_at);
+  p = Put<int64_t>(p, r.not_before);
+  p = Put<int64_t>(p, r.deadline);
+  p = Put<int64_t>(p, r.predicted_start);
+  for (uint64_t s : r.stats) p = Put<uint64_t>(p, s);
 }
 
 Result<JournalRecord> Decode(const storage::WalRecord& wr) {
@@ -124,58 +117,62 @@ Result<std::unique_ptr<ControlPlaneJournal>> ControlPlaneJournal::Open(
       new ControlPlaneJournal(std::move(wal), path, mode));
 }
 
+Status ControlPlaneJournal::Scope::Close() {
+  if (journal_ == nullptr) return Status::OK();
+  ControlPlaneJournal* journal = journal_;
+  journal_ = nullptr;
+  if (--journal->depth_ > 0) return journal->dead_;
+  return journal->Release();
+}
+
 Status ControlPlaneJournal::Append(const JournalRecord& record) {
   if (!dead_.ok()) return dead_;
-  storage::WalRecord wal_record = Encode(next_seq_, record);
-  Status s = wal_->Append(wal_record);
+  staged_.AddInsert(static_cast<int64_t>(next_seq_), kRecordBytes,
+                    [&](uint8_t* value) { Encode(record, value); });
+  ++next_seq_;
+  return depth_ > 0 ? Status::OK() : Release();
+}
+
+Status ControlPlaneJournal::Release() {
+  if (!dead_.ok()) return dead_;
+  if (staged_.empty()) return Status::OK();
+  // Crash simulation (cp_journal_pre_sync, per record): the record's frame
+  // reached the journal file but the process dies before the fsync and
+  // before anything the record guards is released.  The armed payload
+  // picks the surviving prefix: 0 keeps the whole frame (durable but
+  // unacknowledged — recovery replays it), n > 0 keeps n % frame_size
+  // bytes (a torn tail recovery must trim).
+  storage::WriteAheadLog::BatchOptions options;
+  options.sync = mode_ == SyncMode::kDurable;
+  options.frame_crash_point = faults::kCpJournalPreSync;
+  Status s = wal_->AppendBatch(staged_, options);
+  const size_t records = staged_.frames();
+  staged_.Clear();
   if (!s.ok()) {
     dead_ = s;
     return dead_;
   }
-  // Crash simulation: the frame reached the journal file but the process
-  // dies before the fsync (and before the transition is acknowledged).
-  // The armed payload picks the surviving prefix: 0 keeps the whole frame
-  // (durable but unacknowledged — recovery replays it), n > 0 keeps
-  // n % frame_size bytes (a torn tail recovery must trim).
-  if (Status crash = faults::HitCrashPoint(faults::kCpJournalPreSync);
-      !crash.ok()) {
-    uint64_t payload = faults::CrashPointRegistry::Global().payload();
-    if (payload > 0) {
-      // The frame ends the file, so it starts at the size minus its
-      // length; the hot path pays no size query before each append.
-      uint64_t frame = storage::WriteAheadLog::FrameBytes(wal_record);
-      if (auto size = wal_->SizeBytes(); size.ok() && *size >= frame) {
-        (void)!::truncate(path_.c_str(), static_cast<off_t>(
-                                             *size - frame + payload % frame));
-      }
-    }
-    dead_ = crash;
-    return dead_;
-  }
-  if (mode_ == SyncMode::kDurable) {
-    s = wal_->Sync();
-    if (!s.ok()) {
-      dead_ = s;
-      return dead_;
-    }
-  }
-  ++next_seq_;
-  ++appended_;
+  appended_ += records;
   return Status::OK();
 }
 
 Status ControlPlaneJournal::Sync() {
-  if (!dead_.ok()) return dead_;
+  PRORP_RETURN_IF_ERROR(Release());
   Status s = wal_->Sync();
   if (!s.ok()) dead_ = s;
   return s;
 }
 
 Status ControlPlaneJournal::TruncateAfterCheckpoint() {
-  if (!dead_.ok()) return dead_;
+  PRORP_RETURN_IF_ERROR(Release());
   Status s = wal_->Truncate();
   if (!s.ok()) dead_ = s;
   return s;
+}
+
+void ControlPlaneJournal::Abandon(const Status& status) {
+  staged_.Clear();
+  if (dead_.ok()) dead_ = status;
 }
 
 Result<uint64_t> ControlPlaneJournal::Replay(

@@ -88,29 +88,66 @@ struct JournalRecord {
 };
 
 /// The control-plane write-ahead journal: JournalRecords framed through
-/// the existing WriteAheadLog (CRC32 per record, torn-tail-safe replay,
-/// group commit available to future concurrent callers).  Each record
-/// carries a monotonic sequence number in the WalRecord key; checkpoints
-/// remember the last folded-in sequence so replay after a crash between
-/// checkpoint publication and journal truncation skips already-applied
-/// records exactly once.
+/// the existing WriteAheadLog (CRC32 per record, torn-tail-safe replay).
+/// Each record carries a monotonic sequence number in the WalRecord key;
+/// checkpoints remember the last folded-in sequence so replay after a
+/// crash between checkpoint publication and journal truncation skips
+/// already-applied records exactly once.
 ///
-/// Failure model: fail-stop.  The first append that does not reach the
+/// Staged writes (DESIGN.md section 10): Append encodes the record into
+/// an in-memory batch.  The batch goes to the file with one write(2) —
+/// and in kDurable mode one fsync — at a release point: before an effect
+/// leaves the process (the owner calls Release() before each resume
+/// dispatch), when the outermost Scope closes (before a public call into
+/// the plane returns to its caller), and before a checkpoint (Sync()).
+/// An Append outside any Scope is its own release point.  So no record an
+/// external effect depends on is ever missing from the file, and a crash
+/// loses only records whose effects were never released.
+///
+/// Failure model: fail-stop.  The first batch that does not reach the
 /// medium (I/O error, ENOSPC, injected crash) latches the journal dead;
-/// every later append refuses with the same status, so no transition can
-/// be acknowledged after the journal stopped recording them.  The owner
-/// is expected to treat a dead journal as a control-plane death and
-/// recover from disk.
+/// every later call refuses with the same status, so no transition can be
+/// acknowledged after the journal stopped recording them.  A failure at
+/// record k of a batch writes none of the batch (only a simulated crash
+/// leaves a prefix, as a real one would), so the file never holds a gap
+/// followed by later records.  A dead journal discards what it staged.
+/// The owner is expected to treat a dead journal as a control-plane death
+/// and recover from disk.
 class ControlPlaneJournal {
  public:
   enum class SyncMode {
-    /// fsync per record: a transition is acknowledged only when durable
-    /// (the default for torture and production-shaped use).
+    /// Each batch is fsynced at its release point (group commit): a
+    /// transition is released only when durable.  The default for
+    /// torture and production-shaped use.
     kDurable,
-    /// Buffered appends; durability rides on checkpoints and explicit
-    /// Sync().  Survives process death (the page cache persists), not
-    /// power loss.  The fleet simulator uses this mode.
+    /// Batches are written to the OS at their release points; durability
+    /// rides on checkpoints and explicit Sync().  Survives process death
+    /// (the page cache persists), not power loss.  The fleet simulator
+    /// uses this mode.
     kBuffered,
+  };
+
+  /// Nesting guard: while any Scope is open, Append only stages, and
+  /// closing the outermost Scope writes the batch.  The owner opens one
+  /// per public call, so everything a call journals — including the
+  /// appends of calls nested inside it, such as a node-side metadata
+  /// upsert made inside the resume callback — rides one batch.
+  class Scope {
+   public:
+    /// `journal` may be nullptr (an unjournaled owner): the scope is inert.
+    explicit Scope(ControlPlaneJournal* journal) : journal_(journal) {
+      if (journal_ != nullptr) ++journal_->depth_;
+    }
+    ~Scope() { (void)Close(); }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+    /// Ends the scope early; the outermost one releases the batch.
+    /// Returns the journal's status (OK when inert or already closed).
+    Status Close();
+
+   private:
+    ControlPlaneJournal* journal_;
   };
 
   static Result<std::unique_ptr<ControlPlaneJournal>> Open(
@@ -119,20 +156,29 @@ class ControlPlaneJournal {
   ControlPlaneJournal(const ControlPlaneJournal&) = delete;
   ControlPlaneJournal& operator=(const ControlPlaneJournal&) = delete;
 
-  /// Appends one record (assigning the next sequence number) and, in
-  /// kDurable mode, makes it stable before returning.  On any failure the
-  /// journal latches dead and every subsequent call returns the latched
-  /// status.
+  /// Stages one record, assigning the next sequence number.  Inside a
+  /// Scope the record waits for the next release point; outside any Scope
+  /// it is released at once (written, and fsynced in kDurable mode).  A
+  /// dead journal refuses with its latched status.
   Status Append(const JournalRecord& record);
 
-  /// Forces buffered records to stable storage.
+  /// Release point: writes every staged record with one write (plus one
+  /// fsync in kDurable mode).  On failure the journal latches dead.
+  Status Release();
+
+  /// Releases the staged batch and forces the file to stable storage.
   Status Sync();
 
   /// Truncates the journal after a checkpoint captured its effects.  The
   /// sequence counter keeps running: record identity never repeats.
   Status TruncateAfterCheckpoint();
 
-  /// False once an append failed or an injected crash fired: the control
+  /// The owner died (an injected crash or a fence outside the journal):
+  /// latches the journal dead with `status` and discards the staged
+  /// records unwritten.  No-op when already dead.
+  void Abandon(const Status& status);
+
+  /// False once a batch failed or an injected crash fired: the control
   /// plane must stop acknowledging work and be recovered from disk.
   bool healthy() const { return dead_.ok(); }
   const Status& dead_status() const { return dead_; }
@@ -141,12 +187,20 @@ class ControlPlaneJournal {
   uint64_t next_seq() const { return next_seq_; }
   void set_next_seq(uint64_t seq) { next_seq_ = seq; }
 
+  /// Records written to the file (staged ones count once released).
   uint64_t appended_records() const { return appended_; }
+  /// Bytes in the journal file; after any release point this covers
+  /// every appended record.
   Result<uint64_t> SizeBytes() const { return wal_->SizeBytes(); }
   const std::string& path() const { return path_; }
+  /// Counters of the underlying log: one write per released batch, one
+  /// fsync per kDurable batch.
+  storage::WriteAheadLog::GroupCommitStats wal_stats() const {
+    return wal_->group_commit_stats();
+  }
 
   /// Attaches a fault plan consulted on every append/sync (kWalAppend /
-  /// kWalSync ops).  nullptr detaches.
+  /// kWalSync ops, once per record).  nullptr detaches.
   void set_fault_plan(faults::FaultPlan* plan) { wal_->set_fault_plan(plan); }
 
   /// Replays all intact records in order, invoking `apply(seq, record)`.
@@ -164,6 +218,9 @@ class ControlPlaneJournal {
   std::unique_ptr<storage::WriteAheadLog> wal_;
   std::string path_;
   SyncMode mode_;
+  /// Encoded records awaiting the next release point.
+  storage::FrameBatch staged_;
+  int depth_ = 0;  // open Scopes
   uint64_t next_seq_ = 1;
   uint64_t appended_ = 0;
   Status dead_ = Status::OK();

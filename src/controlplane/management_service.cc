@@ -187,12 +187,24 @@ bool ManagementService::Journal(JournalRecord rec) {
     Fence(s);
     return false;
   }
-  // The record is durable but its in-memory transition has not been
-  // applied yet: a crash here is exactly the window recovery closes by
-  // replaying the journal.
+  // The record is journaled but its in-memory transition has not been
+  // applied yet.  A crash here fences the service, which discards the
+  // unreleased batch: recovery sees none of it, and nothing it guarded
+  // has left the process.
   if (Status crash = faults::HitCrashPoint(faults::kCpPostJournalPreApply);
       !crash.ok()) {
     Fence(crash);
+    return false;
+  }
+  return true;
+}
+
+bool ManagementService::Release() {
+  if (journal_ == nullptr) return true;
+  if (fenced_) return false;
+  Status s = journal_->Release();
+  if (!s.ok()) {
+    Fence(s);
     return false;
   }
   return true;
@@ -202,7 +214,31 @@ void ManagementService::Fence(const Status& status) {
   if (fenced_) return;
   fenced_ = true;
   fence_status_ = status;
+  if (journal_ != nullptr) journal_->Abandon(status);
 }
+
+/// Opens a journal scope for one public call.  End() — or the destructor,
+/// for calls with no status to report — closes it; when the outermost
+/// scope's batch cannot be written the service fences.
+class ManagementService::CallScope {
+ public:
+  explicit CallScope(ManagementService* service)
+      : service_(service), scope_(service->journal_) {}
+  ~CallScope() { (void)End(); }
+  CallScope(const CallScope&) = delete;
+  CallScope& operator=(const CallScope&) = delete;
+
+  /// Returns the fence status once fenced, OK otherwise.
+  Status End() {
+    Status s = scope_.Close();
+    if (!s.ok()) service_->Fence(s);
+    return service_->fenced_ ? service_->fence_status_ : Status::OK();
+  }
+
+ private:
+  ManagementService* service_;
+  ControlPlaneJournal::Scope scope_;
+};
 
 ManagementService::WorkItem* ManagementService::FindQueued(ResumeClass cls,
                                                            DbId db) {
@@ -436,8 +472,9 @@ void ManagementService::PromoteToReactive(DbId db, EpochSeconds now) {
 
 Status ManagementService::EnqueueReactive(DbId db, EpochSeconds now) {
   if (fenced_) return fence_status_;
+  CallScope call(this);
   ++reactive_arrivals_;
-  if (in_flight_.count(db) != 0) return Status::OK();  // already resuming
+  if (in_flight_.count(db) != 0) return call.End();  // already resuming
   if (auto ua = unacked_.find(db); ua != unacked_.end()) {
     // A dispatch for this database is on the wire with an unknown
     // outcome.  The login is absorbed — NOT journaled as kAccepted:
@@ -445,54 +482,50 @@ Status ManagementService::EnqueueReactive(DbId db, EpochSeconds now) {
     // outcome), so a fresh accept would corrupt replay.  The interest
     // flag makes the resolution paths promote the workflow to reactive.
     ua->second.reactive_interest = true;
-    return Status::OK();
+    return call.End();
   }
   auto it = queued_dbs_.find(db);
   if (it != queued_dbs_.end()) {
-    if (it->second == ResumeClass::kReactiveLogin) return Status::OK();
     // Promotion: the customer's login outruns a queued pre-warm of the
     // same database.
-    PromoteToReactive(db, now);
-    if (fenced_) return fence_status_;
-    return Status::OK();
+    if (it->second != ResumeClass::kReactiveLogin) PromoteToReactive(db, now);
+    return call.End();
   }
   EnqueueItem(db, ResumeClass::kReactiveLogin, now);
-  if (fenced_) return fence_status_;
-  return Status::OK();
+  return call.End();
 }
 
 Status ManagementService::NoteNodeDead(uint32_t node, EpochSeconds now) {
   if (fenced_) return fence_status_;
+  CallScope call(this);
   JournalRecord rec;
   rec.event = JournalEvent::kNodeDead;
   rec.db = node;  // the db field carries the node id for this event
   rec.time = now;
-  if (!Journal(rec)) return fence_status_;
-  ++diagnostics_.node_failovers;
-  return Status::OK();
+  if (Journal(rec)) ++diagnostics_.node_failovers;
+  return call.End();
 }
 
 Status ManagementService::EnqueueFailover(DbId db, EpochSeconds now) {
   if (fenced_) return fence_status_;
+  CallScope call(this);
   // Dedup against every live form the workflow could already have: a
   // failover must never fork a second concurrent workflow for the same
   // database.  In-flight and unacked dispatches resolve through their own
   // paths (timeout/reconcile re-places them), and anything already queued
   // is promoted to reactive priority rather than duplicated.
-  if (in_flight_.count(db) != 0) return Status::OK();
+  if (in_flight_.count(db) != 0) return call.End();
   if (auto ua = unacked_.find(db); ua != unacked_.end()) {
     ua->second.reactive_interest = true;
-    return Status::OK();
+    return call.End();
   }
   if (auto it = queued_dbs_.find(db); it != queued_dbs_.end()) {
     if (it->second != ResumeClass::kReactiveLogin) PromoteToReactive(db, now);
-    if (fenced_) return fence_status_;
-    return Status::OK();
+    return call.End();
   }
   EnqueueItem(db, ResumeClass::kReactiveLogin, now, /*brownout_level=*/-1,
               /*catch_up=*/false, /*failover=*/true);
-  if (fenced_) return fence_status_;
-  return Status::OK();
+  return call.End();
 }
 
 Status ManagementService::EnqueueMaintenance(DbId db, EpochSeconds now) {
@@ -501,15 +534,16 @@ Status ManagementService::EnqueueMaintenance(DbId db, EpochSeconds now) {
       unacked_.count(db) != 0) {
     return Status::OK();  // a same-or-higher-class workflow already exists
   }
+  CallScope call(this);
   AdmitNonReactive(db, ResumeClass::kMaintenance, now);
-  if (fenced_) return fence_status_;
-  return Status::OK();
+  return call.End();
 }
 
 void ManagementService::CompleteWorkflow(DbId db, EpochSeconds now) {
   if (fenced_) return;
   auto it = in_flight_.find(db);
   if (it == in_flight_.end()) return;
+  CallScope call(this);
   JournalRecord rec;
   rec.event = JournalEvent::kCompleted;
   rec.db = db;
@@ -651,6 +685,7 @@ void ManagementService::OnDispatchAck(DbId db, uint64_t request_id,
                                       const Status& outcome,
                                       EpochSeconds now) {
   if (fenced_) return;
+  CallScope call(this);
   auto it = unacked_.find(db);
   if (it == unacked_.end() || (request_id != it->second.request_id &&
                                request_id != it->second.hedge_request_id)) {
@@ -680,6 +715,7 @@ void ManagementService::OnDispatchAck(DbId db, uint64_t request_id,
 void ManagementService::OnDispatchTimeout(DbId db, uint64_t request_id,
                                           EpochSeconds now) {
   if (fenced_) return;
+  CallScope call(this);
   auto it = unacked_.find(db);
   if (it == unacked_.end() || (request_id != it->second.request_id &&
                                request_id != it->second.hedge_request_id)) {
@@ -727,7 +763,7 @@ void ManagementService::Watchdog(EpochSeconds now) {
     rec.cls = static_cast<uint8_t>(f.cls);
     rec.attempt = f.attempts;
     rec.time = now;
-    if (!Journal(rec)) break;
+    if (!Journal(rec) || !Release()) break;
     f.hedged = true;
     ClassDiagnostics& cd = Cls(f.cls);
     ++cd.deadline_breaches;
@@ -787,7 +823,7 @@ void ManagementService::Watchdog(EpochSeconds now) {
     rec.cls = static_cast<uint8_t>(it->second.item.cls);
     rec.attempt = it->second.item.attempts + 1;
     rec.time = now;
-    if (!Journal(rec)) break;
+    if (!Journal(rec) || !Release()) break;
     it->second.item.hedged = true;
     ClassDiagnostics& cd = Cls(it->second.item.cls);
     ++cd.deadline_breaches;
@@ -928,7 +964,7 @@ uint64_t ManagementService::DrainClass(ResumeClass cls, EpochSeconds now,
       rec.deadline = item.deadline;
       if (hedge_now) rec.flags |= kJfHedge;
       if (!item.wait_recorded) rec.flags |= kJfFirstWait;
-      if (!Journal(rec)) {
+      if (!Journal(rec) || !Release()) {
         q.push_front(item);
         break;
       }
@@ -1092,6 +1128,7 @@ uint64_t ManagementService::DrainClass(ResumeClass cls, EpochSeconds now,
 
 uint64_t ManagementService::Pump(EpochSeconds now) {
   if (fenced_) return 0;
+  CallScope call(this);
   Watchdog(now);
   return DrainClass(ResumeClass::kReactiveLogin, now, nullptr);
 }
@@ -1099,6 +1136,7 @@ uint64_t ManagementService::Pump(EpochSeconds now) {
 Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
                                             bool use_sql_scan) {
   if (fenced_) return fence_status_;
+  CallScope call(this);
   // Breaker cool-down is virtual-clock based, like everything else here.
   if (breaker_ == BreakerState::kOpen &&
       now >= breaker_opened_at_ + config_.breaker_open_duration) {
@@ -1240,6 +1278,7 @@ Result<uint64_t> ManagementService::RunOnce(EpochSeconds now,
     if (quota != nullptr) rec.flags |= kJfSlowStart;
     if (!Journal(rec)) return fence_status_;
   }
+  PRORP_RETURN_IF_ERROR(call.End());
   resumed_per_iteration_.Add(static_cast<int64_t>(resumed));
   total_resumed_ += resumed;
   return resumed;
@@ -1488,6 +1527,7 @@ void ManagementService::ReplaySuccess(const JournalRecord& rec, bool async) {
 
 ManagementService::ReconcileStats ManagementService::FinishRecovery(
     const std::function<bool(DbId)>& node_resumed, EpochSeconds now) {
+  CallScope call(this);
   ReconcileStats stats;
   // Deterministic reconcile order, so a crash during recovery replays the
   // same prefix of decisions on the next attempt.

@@ -457,7 +457,17 @@ class ManagementService {
   /// NOTHING and unwind.  Without an attached journal this is a no-op
   /// returning true (exact legacy behavior).
   bool Journal(JournalRecord rec);
+  /// Release point ahead of a resume dispatch: writes the journal's staged
+  /// batch so the dispatch's kDispatched/kHedge record (and every record
+  /// before it) is in the file before the callback runs.  False when the
+  /// service fenced instead — the caller must not dispatch.
+  bool Release();
+  /// Fences the service: it refuses all further work, and the journal
+  /// discards what it staged (a fenced plane is a dead process).
   void Fence(const Status& status);
+  /// The journal scope of one public call (DESIGN.md section 10); nested
+  /// calls join the outermost, whose close is a release point.
+  class CallScope;
   /// Locates a queued item of `cls` by database id; nullptr if absent.
   WorkItem* FindQueued(ResumeClass cls, DbId db);
   /// Replay-time outcome application shared by kOutcomeOk and the

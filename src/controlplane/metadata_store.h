@@ -95,8 +95,11 @@ class MetadataStore {
 
   /// Attaches the control-plane journal: every UpsertState/Remove is
   /// journaled (kMetaUpsert/kMetaRemove, stamped with `epoch`) before it
-  /// takes effect, and fails without applying if the journal refuses.
-  /// nullptr detaches (restore paths apply unjournaled).
+  /// takes effect, and fails without applying if the journal refuses.  A
+  /// top-level call is its own release point (the record is in the file
+  /// before it returns); one nested inside a service call, such as the
+  /// node side's upsert inside the resume callback, rides that call's
+  /// batch.  nullptr detaches (restore paths apply unjournaled).
   void AttachJournal(ControlPlaneJournal* journal, uint64_t epoch) {
     journal_ = journal;
     epoch_ = epoch;

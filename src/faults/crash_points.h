@@ -34,10 +34,12 @@ inline constexpr std::string_view kSnapshotPreRenameSync =
 /// but was never acknowledged; n > 0 = a torn tail of n % frame_size
 /// bytes).
 inline constexpr std::string_view kCpJournalPreSync = "cp_journal_pre_sync";
-/// Control-plane journal: the record is durable in the journal but the
-/// process dies before the in-memory transition it describes is applied.
-/// Recovery must replay the record so the acknowledged transition is not
-/// lost.
+/// Control-plane journal: the record is journaled (staged for the next
+/// release point, or already in the file when it was released at once)
+/// but the process dies before the in-memory transition it describes is
+/// applied.  Recovery must come back consistent either way: a record in
+/// the file is replayed, and a staged batch dies with the process — it
+/// guarded no released effect.
 inline constexpr std::string_view kCpPostJournalPreApply =
     "cp_post_journal_pre_apply";
 /// Control-plane checkpoint: the process dies halfway through writing the

@@ -14,16 +14,6 @@
 namespace prorp::storage {
 namespace {
 
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out.insert(out.end(), p, p + 4);
-}
-
-void PutI64(std::vector<uint8_t>& out, int64_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  out.insert(out.end(), p, p + 8);
-}
-
 uint32_t GetU32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
@@ -34,31 +24,6 @@ int64_t GetI64(const uint8_t* p) {
   int64_t v;
   std::memcpy(&v, p, 8);
   return v;
-}
-
-std::vector<uint8_t> EncodePayload(const WalRecord& r) {
-  std::vector<uint8_t> payload;
-  payload.push_back(static_cast<uint8_t>(r.type));
-  PutI64(payload, r.key);
-  if (r.type == WalRecord::Type::kDeleteRange) {
-    PutI64(payload, r.key2);
-  }
-  if (r.type == WalRecord::Type::kInsert ||
-      r.type == WalRecord::Type::kUpdate) {
-    PutU32(payload, static_cast<uint32_t>(r.value.size()));
-    payload.insert(payload.end(), r.value.begin(), r.value.end());
-  }
-  return payload;
-}
-
-std::vector<uint8_t> EncodeFrame(const WalRecord& r) {
-  std::vector<uint8_t> payload = EncodePayload(r);
-  std::vector<uint8_t> frame;
-  frame.reserve(payload.size() + 8);
-  PutU32(frame, static_cast<uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  PutU32(frame, Crc32(payload.data(), payload.size()));
-  return frame;
 }
 
 Result<WalRecord> DecodePayload(const uint8_t* p, size_t len) {
@@ -94,6 +59,50 @@ Result<WalRecord> DecodePayload(const uint8_t* p, size_t len) {
 
 }  // namespace
 
+uint8_t* FrameBatch::Open(uint32_t payload_len) {
+  open_at_ = bytes_.size();
+  bytes_.resize(open_at_ + 4 + payload_len + 4);
+  uint8_t* frame = bytes_.data() + open_at_;
+  std::memcpy(frame, &payload_len, 4);
+  return frame + 4;
+}
+
+void FrameBatch::Seal() {
+  uint8_t* frame = bytes_.data() + open_at_;
+  const uint32_t payload_len = GetU32(frame);
+  const uint32_t crc = Crc32(frame + 4, payload_len);
+  std::memcpy(frame + 4 + payload_len, &crc, 4);
+  ends_.push_back(bytes_.size());
+}
+
+void FrameBatch::WriteInsertHeader(uint8_t* payload, int64_t key,
+                                   uint32_t value_len) {
+  payload[0] = static_cast<uint8_t>(WalRecord::Type::kInsert);
+  std::memcpy(payload + 1, &key, 8);
+  std::memcpy(payload + 9, &value_len, 4);
+}
+
+void FrameBatch::Add(const WalRecord& r) {
+  const bool has_value = r.type == WalRecord::Type::kInsert ||
+                         r.type == WalRecord::Type::kUpdate;
+  const bool has_key2 = r.type == WalRecord::Type::kDeleteRange;
+  const auto value_len = static_cast<uint32_t>(r.value.size());
+  uint8_t* p = Open(1 + 8 + (has_key2 ? 8 : 0) +
+                    (has_value ? 4 + value_len : 0));
+  *p++ = static_cast<uint8_t>(r.type);
+  std::memcpy(p, &r.key, 8);
+  p += 8;
+  if (has_key2) {
+    std::memcpy(p, &r.key2, 8);
+    p += 8;
+  }
+  if (has_value) {
+    std::memcpy(p, &value_len, 4);
+    if (value_len > 0) std::memcpy(p + 4, r.value.data(), value_len);
+  }
+  Seal();
+}
+
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const std::string& path) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
@@ -101,7 +110,13 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     return Status::IoError("open WAL failed: " +
                            std::string(strerror(errno)));
   }
-  return std::unique_ptr<WriteAheadLog>(new WriteAheadLog(fd, path));
+  off_t end = ::lseek(fd, 0, SEEK_END);
+  if (end < 0) {
+    ::close(fd);
+    return Status::IoError("WAL lseek failed");
+  }
+  return std::unique_ptr<WriteAheadLog>(
+      new WriteAheadLog(fd, path, static_cast<uint64_t>(end)));
 }
 
 WriteAheadLog::~WriteAheadLog() {
@@ -126,82 +141,34 @@ void WriteAheadLog::ReleaseCommitSlot(std::unique_lock<std::mutex>& lock) {
   cv_.notify_all();
 }
 
+void WriteAheadLog::CountRound(size_t records) {
+  ++stats_.commits;
+  stats_.records += records;
+  stats_.max_batch = std::max<uint64_t>(stats_.max_batch, records);
+}
+
 Status WriteAheadLog::Append(const WalRecord& record) {
+  FrameBatch batch;
+  batch.Add(record);
+  return AppendBatch(batch, BatchOptions{});
+}
+
+Status WriteAheadLog::AppendBatch(FrameBatch& batch,
+                                  const BatchOptions& options) {
+  if (batch.empty()) return Status::OK();
   std::unique_lock<std::mutex> lock(mu_);
   AcquireCommitSlot(lock);
   lock.unlock();
-  Status s = AppendExclusive(record);
+  Status s = CommitBatch(batch, options, OnRecordError::kFailBatch, nullptr);
   lock.lock();
+  CountRound(batch.frames());
   ReleaseCommitSlot(lock);
   return s;
 }
 
-Status WriteAheadLog::AppendExclusive(const WalRecord& record) {
-  std::vector<uint8_t> frame = EncodeFrame(record);
-
-  // Crash simulation: the process dies mid-append.  A prefix of the frame
-  // (chosen by the armed payload) reaches the file and nothing cleans it
-  // up — exactly the torn tail recovery must cope with.
-  if (Status crash = faults::HitCrashPoint(faults::kWalAppendPartial);
-      !crash.ok()) {
-    uint64_t cut =
-        faults::CrashPointRegistry::Global().payload() % frame.size();
-    if (cut > 0) (void)!::write(fd_, frame.data(), cut);
-    return crash;
-  }
-
-  size_t intend = frame.size();
-  bool disk_full = false;
-  if (fault_plan_ != nullptr) {
-    if (auto d = fault_plan_->Next(faults::FaultOp::kWalAppend)) {
-      switch (d->kind) {
-        case faults::FaultKind::kIoError:
-          return Status::IoError("injected WAL append fault");
-        case faults::FaultKind::kTornWrite:
-          intend = d->arg % frame.size();  // live short write, not a crash
-          break;
-        case faults::FaultKind::kDiskFull:
-          // ENOSPC mid-frame: a prefix reaches the medium, then space
-          // runs out.  Fail-stop contract: roll back, ack nothing, and
-          // surface a distinguishable disk-full error.
-          intend = d->arg % frame.size();
-          disk_full = true;
-          break;
-        case faults::FaultKind::kBitFlip: {
-          uint64_t bit = d->arg % (frame.size() * 8);
-          frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-          break;
-        }
-        case faults::FaultKind::kMsgDrop:
-        case faults::FaultKind::kMsgDuplicate:
-        case faults::FaultKind::kMsgDelay:
-          break;  // message-only kinds; meaningless at a WAL site
-      }
-    }
-  }
-
-  off_t start = ::lseek(fd_, 0, SEEK_END);
-  if (start < 0) return Status::IoError("WAL lseek failed");
-  Status written = io::WriteFull(fd_, frame.data(), intend, "WAL append");
-  if (!written.ok() || intend != frame.size()) {
-    // Roll the file back to the pre-append offset.  Leaving the partial
-    // frame in place would make every subsequent append land behind a
-    // torn record, unreachable at replay time.
-    if (::ftruncate(fd_, start) != 0) {
-      return Status::IoError("WAL append failed and rollback failed");
-    }
-    if (disk_full) {
-      return Status::IoError("WAL append failed: disk full (ENOSPC)");
-    }
-    return written.ok() ? Status::IoError("WAL append failed: short write")
-                        : written;
-  }
-  return Status::OK();
-}
-
 Result<uint64_t> WriteAheadLog::AppendDurable(const WalRecord& record) {
   Pending pending;
-  pending.frame = EncodeFrame(record);
+  pending.record = &record;
 
   std::unique_lock<std::mutex> lock(mu_);
   pending.lsn = ++next_lsn_;
@@ -220,13 +187,18 @@ Result<uint64_t> WriteAheadLog::AppendDurable(const WalRecord& record) {
     queue_.clear();
     lock.unlock();
 
-    CommitBatch(batch);
+    FrameBatch frames;
+    for (Pending* p : batch) frames.Add(*p->record);
+    std::vector<Status> results(batch.size());
+    BatchOptions options;
+    options.sync = true;
+    CommitBatch(frames, options, OnRecordError::kSkipRecord, &results);
 
     lock.lock();
-    ++stats_.commits;
-    stats_.records += batch.size();
-    stats_.max_batch = std::max<uint64_t>(stats_.max_batch, batch.size());
-    for (Pending* p : batch) {
+    CountRound(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Pending* p = batch[i];
+      p->result = std::move(results[i]);
       if (p->result.ok()) {
         stats_.durable_lsn = std::max(stats_.durable_lsn, p->lsn);
       }
@@ -239,54 +211,64 @@ Result<uint64_t> WriteAheadLog::AppendDurable(const WalRecord& record) {
   return pending.lsn;
 }
 
-void WriteAheadLog::CommitBatch(const std::vector<Pending*>& batch) {
-  auto fail_all = [&](const Status& s) {
-    for (Pending* p : batch) {
-      // Keep a more specific per-record verdict (injected IoError on an
-      // excluded record) in place of the batch-wide one.
-      if (p->result.ok()) p->result = s;
+void WriteAheadLog::WriteCrashTail(const uint8_t* data, size_t n) {
+  if (n == 0) return;
+  ssize_t wrote = ::write(fd_, data, n);
+  if (wrote > 0) end_offset_ += static_cast<uint64_t>(wrote);
+}
+
+Status WriteAheadLog::CommitBatch(FrameBatch& batch,
+                                  const BatchOptions& options,
+                                  OnRecordError on_error,
+                                  std::vector<Status>* per_frame) {
+  // The batch-wide verdict: every frame without a more specific one of
+  // its own (an injected error on a skipped frame) takes it.
+  auto fail = [&](const Status& s) {
+    if (per_frame != nullptr) {
+      for (Status& r : *per_frame) {
+        if (r.ok()) r = s;
+      }
     }
-  };
-  auto fail_written = [&](const Status& s) {
-    for (Pending* p : batch) {
-      if (p->written && p->result.ok()) p->result = s;
-    }
+    return s;
   };
 
-  off_t start = ::lseek(fd_, 0, SEEK_END);
-  if (start < 0) {
-    fail_all(Status::IoError("WAL lseek failed"));
-    return;
-  }
+  // Frames that will be written are compacted to the front of the batch
+  // as they pass their faults: bytes [0, kept) go to the file.
+  const uint64_t start = end_offset_;
+  uint8_t* data = batch.bytes_.data();
+  size_t kept = 0;
+  size_t begin = 0;
+  size_t written_frames = 0;
+  for (size_t i = 0; i < batch.frames(); ++i) {
+    const size_t end = batch.ends_[i];
+    const size_t size = end - begin;
+    uint8_t* frame = data + begin;
+    begin = end;
+    // Moves the first `n` bytes of this frame behind the kept frames and
+    // writes them all, as a process dying mid-write would leave them.
+    auto crash_tail = [&](size_t n) {
+      std::memmove(data + kept, frame, n);
+      WriteCrashTail(data, kept + n);
+    };
 
-  std::vector<uint8_t> buf;
-  size_t total = 0;
-  for (Pending* p : batch) total += p->frame.size();
-  buf.reserve(total);
-
-  for (Pending* p : batch) {
     // Crash simulation, per logical append: the process dies while the
-    // batched write is in flight.  Earlier records' frames plus a prefix
-    // of this record's frame reach the file — the multi-record torn tail
-    // recovery must cope with.
+    // batched write is in flight.  Earlier frames plus a prefix of this
+    // one reach the file — the multi-record torn tail recovery must cope
+    // with.
     if (Status crash = faults::HitCrashPoint(faults::kWalAppendPartial);
         !crash.ok()) {
-      uint64_t cut =
-          faults::CrashPointRegistry::Global().payload() % p->frame.size();
-      if (!buf.empty()) {
-        (void)io::WriteFull(fd_, buf.data(), buf.size(), "WAL append");
-      }
-      if (cut > 0) (void)!::write(fd_, p->frame.data(), cut);
-      fail_all(crash);
-      return;
+      crash_tail(faults::CrashPointRegistry::Global().payload() % size);
+      return fail(crash);
     }
     if (fault_plan_ != nullptr) {
       if (auto d = fault_plan_->Next(faults::FaultOp::kWalAppend)) {
         switch (d->kind) {
           case faults::FaultKind::kIoError:
-            // No bytes of this record reach the medium; the rest of the
-            // batch is unaffected.
-            p->result = Status::IoError("injected WAL append fault");
+            // No bytes of this record reach the medium.
+            if (on_error == OnRecordError::kFailBatch) {
+              return fail(Status::IoError("injected WAL append fault"));
+            }
+            (*per_frame)[i] = Status::IoError("injected WAL append fault");
             continue;
           case faults::FaultKind::kTornWrite:
           case faults::FaultKind::kDiskFull: {
@@ -294,25 +276,21 @@ void WriteAheadLog::CommitBatch(const std::vector<Pending*>& batch) {
             // write or out of space).  The rollback must un-ack the whole
             // batch: acknowledging any record whose bytes were truncated
             // away would lose it.
-            uint64_t cut = d->arg % p->frame.size();
-            if (!buf.empty()) {
-              (void)io::WriteFull(fd_, buf.data(), buf.size(), "WAL append");
-            }
-            if (cut > 0) (void)!::write(fd_, p->frame.data(), cut);
-            if (::ftruncate(fd_, start) != 0) {
-              fail_all(
+            crash_tail(d->arg % size);
+            if (::ftruncate(fd_, static_cast<off_t>(start)) != 0) {
+              return fail(
                   Status::IoError("WAL append failed and rollback failed"));
-            } else if (d->kind == faults::FaultKind::kDiskFull) {
-              fail_all(
-                  Status::IoError("WAL append failed: disk full (ENOSPC)"));
-            } else {
-              fail_all(Status::IoError("WAL append failed: short write"));
             }
-            return;
+            end_offset_ = start;
+            if (d->kind == faults::FaultKind::kDiskFull) {
+              return fail(
+                  Status::IoError("WAL append failed: disk full (ENOSPC)"));
+            }
+            return fail(Status::IoError("WAL append failed: short write"));
           }
           case faults::FaultKind::kBitFlip: {
-            uint64_t bit = d->arg % (p->frame.size() * 8);
-            p->frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+            uint64_t bit = d->arg % (size * 8);
+            frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
             break;
           }
           case faults::FaultKind::kMsgDrop:
@@ -322,57 +300,69 @@ void WriteAheadLog::CommitBatch(const std::vector<Pending*>& batch) {
         }
       }
     }
-    buf.insert(buf.end(), p->frame.begin(), p->frame.end());
-    p->written = true;
-  }
-
-  // Every record was excluded by injection: nothing reached the file, so
-  // there is nothing to sync.
-  if (buf.empty()) return;
-
-  Status written = io::WriteFull(fd_, buf.data(), buf.size(), "WAL append");
-  if (!written.ok()) {
-    // A failed batched write must not ack any record in the batch.
-    if (::ftruncate(fd_, start) != 0) {
-      fail_written(Status::IoError("WAL append failed and rollback failed"));
-    } else {
-      fail_written(written);
+    if (!options.frame_crash_point.empty()) {
+      if (Status crash = faults::HitCrashPoint(options.frame_crash_point);
+          !crash.ok()) {
+        const uint64_t payload = faults::CrashPointRegistry::Global().payload();
+        crash_tail(payload == 0 ? size : payload % size);
+        return fail(crash);
+      }
     }
-    return;
+    std::memmove(data + kept, frame, size);
+    kept += size;
+    ++written_frames;
   }
+
+  // Every record was skipped by injection: nothing reached the file, so
+  // there is nothing to sync.
+  if (kept == 0) return Status::OK();
+
+  Status written = io::WriteFull(fd_, data, kept, "WAL append");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.writes;
+  }
+  if (!written.ok()) {
+    // A failed batched write must not ack any record in the batch: roll
+    // the file back so no torn frame makes later appends unreachable.
+    if (::ftruncate(fd_, static_cast<off_t>(start)) != 0) {
+      return fail(Status::IoError("WAL append failed and rollback failed"));
+    }
+    return fail(written);
+  }
+  end_offset_ = start + kept;
+  if (!options.sync) return Status::OK();
 
   // Crash simulation: the process dies after the batched write reached
   // the file but before the group fsync.  Every record in the round is
   // unacknowledged; its bytes may or may not survive to recovery.
   if (Status crash = faults::HitCrashPoint(faults::kWalGroupPreSync);
       !crash.ok()) {
-    fail_all(crash);
-    return;
+    return fail(crash);
   }
   // Parity with Sync(): one pre-sync crash point per physical fsync.
   if (Status crash = faults::HitCrashPoint(faults::kWalPreSync);
       !crash.ok()) {
-    fail_all(crash);
-    return;
+    return fail(crash);
   }
   if (fault_plan_ != nullptr) {
     // kWalSync fires once per logical record even though the physical
     // fsync is shared, so scripted "fail the Nth sync" triggers keep
     // their meaning under batching.
-    for (Pending* p : batch) {
-      if (!p->written) continue;
-      if (auto d = fault_plan_->Next(faults::FaultOp::kWalSync)) {
-        (void)d;
+    for (size_t i = 0; i < written_frames; ++i) {
+      if (fault_plan_->Next(faults::FaultOp::kWalSync)) {
         // The bytes stay in the file but no record is acknowledged —
         // same contract as a failed serial Sync().
-        fail_written(Status::IoError("injected WAL sync fault"));
-        return;
+        return fail(Status::IoError("injected WAL sync fault"));
       }
     }
   }
-  if (::fsync(fd_) != 0) {
-    fail_written(Status::IoError("WAL fsync failed"));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.syncs;
   }
+  if (::fsync(fd_) != 0) return fail(Status::IoError("WAL fsync failed"));
+  return Status::OK();
 }
 
 Status WriteAheadLog::Sync() {
@@ -395,6 +385,10 @@ Status WriteAheadLog::SyncExclusive() {
       return Status::IoError("injected WAL sync fault");
     }
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.syncs;
+  }
   if (::fsync(fd_) != 0) return Status::IoError("WAL fsync failed");
   return Status::OK();
 }
@@ -406,6 +400,8 @@ Status WriteAheadLog::Truncate() {
   Status s = Status::OK();
   if (::ftruncate(fd_, 0) != 0) {
     s = Status::IoError("WAL truncate failed");
+  } else {
+    end_offset_ = 0;
   }
   lock.lock();
   ReleaseCommitSlot(lock);
@@ -479,10 +475,6 @@ Result<uint64_t> WriteAheadLog::SizeBytes() const {
   off_t size = ::lseek(fd_, 0, SEEK_END);
   if (size < 0) return Status::IoError("lseek failed");
   return static_cast<uint64_t>(size);
-}
-
-uint64_t WriteAheadLog::FrameBytes(const WalRecord& record) {
-  return EncodeFrame(record).size();
 }
 
 WriteAheadLog::GroupCommitStats WriteAheadLog::group_commit_stats() const {

@@ -95,13 +95,22 @@ TEST(NetworkTortureTest, MatrixEveryFaultKindAcrossSeedsAndOverlays) {
       ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
       ExpectInvariants(*r, tag);
       EXPECT_GT(r->total_resumed, 0u) << tag;
-      if (opt.crash_at_step >= 0) EXPECT_EQ(r->recoveries, 1) << tag;
+      if (opt.crash_at_step >= 0) {
+        EXPECT_EQ(r->recoveries, 1) << tag;
+      }
       // The configured fault actually fired in this cell.
-      if (cell.drop_p > 0) EXPECT_GT(r->transport.dropped, 0u) << tag;
-      if (cell.duplicate_p > 0)
+      if (cell.drop_p > 0) {
+        EXPECT_GT(r->transport.dropped, 0u) << tag;
+      }
+      if (cell.duplicate_p > 0) {
         EXPECT_GT(r->transport.duplicated, 0u) << tag;
-      if (cell.delay_p > 0) EXPECT_GT(r->transport.delayed, 0u) << tag;
-      if (cell.partition) EXPECT_GT(r->transport.partitioned, 0u) << tag;
+      }
+      if (cell.delay_p > 0) {
+        EXPECT_GT(r->transport.delayed, 0u) << tag;
+      }
+      if (cell.partition) {
+        EXPECT_GT(r->transport.partitioned, 0u) << tag;
+      }
 
       total.retransmissions += r->retransmissions;
       total.dispatch_timeouts += r->dispatch_timeouts;

@@ -1,5 +1,8 @@
 #include "storage/wal.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -8,6 +11,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "faults/crash_points.h"
+#include "faults/fault_plan.h"
 
 namespace prorp::storage {
 namespace {
@@ -482,6 +488,217 @@ TEST(WalTest, ApplyErrorPropagates) {
   });
   EXPECT_FALSE(n.ok());
   EXPECT_TRUE(n.status().IsCorruption());
+  std::remove(path.c_str());
+}
+
+uint64_t FrameSize(const WalRecord& record) {
+  FrameBatch batch;
+  batch.Add(record);
+  return batch.bytes();
+}
+
+std::vector<int64_t> ReplayKeys(const std::string& path) {
+  std::vector<int64_t> keys;
+  auto n = WriteAheadLog::Replay(path, [&](const WalRecord& r) {
+    keys.push_back(r.key);
+    return Status::OK();
+  });
+  EXPECT_TRUE(n.ok()) << n.status().ToString();
+  return keys;
+}
+
+TEST(WalTest, AppendsLandBehindLastIntactFrameAfterTornWriteTruncateReopen) {
+  // The log tracks its end offset in memory instead of asking the file
+  // before every append; each way the file can shrink under it must
+  // leave the next append right behind the last intact frame.
+  std::string path = TempPath("wal_end_offset.log");
+  std::remove(path.c_str());
+  const uint64_t frame = FrameSize(Insert(1, {0x01}));
+  faults::FaultPlan plan(21);
+  plan.FailNth(faults::FaultOp::kWalAppend, 3, faults::FaultKind::kTornWrite);
+  {
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    (*wal)->set_fault_plan(&plan);
+    ASSERT_TRUE((*wal)->Append(Insert(1, {0x01})).ok());
+    ASSERT_TRUE((*wal)->Append(Insert(2, {0x02})).ok());
+    // Injected torn write: a prefix reaches the file and is rolled back.
+    EXPECT_FALSE((*wal)->Append(Insert(3, {0x03})).ok());
+    EXPECT_EQ(*(*wal)->SizeBytes(), 2 * frame);
+    ASSERT_TRUE((*wal)->Append(Insert(4, {0x04})).ok());
+    EXPECT_EQ(*(*wal)->SizeBytes(), 3 * frame);
+    EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{1, 2, 4}));
+
+    ASSERT_TRUE((*wal)->Truncate().ok());
+    ASSERT_TRUE((*wal)->Append(Insert(5, {0x05})).ok());
+    EXPECT_EQ(*(*wal)->SizeBytes(), frame);
+    // A torn write after the truncation rolls back to the new end, not
+    // to an offset from before it.
+    plan.FailNth(faults::FaultOp::kWalAppend,
+                 plan.ops_seen(faults::FaultOp::kWalAppend) + 1,
+                 faults::FaultKind::kDiskFull);
+    EXPECT_FALSE((*wal)->Append(Insert(6, {0x06})).ok());
+    EXPECT_EQ(*(*wal)->SizeBytes(), frame);
+    ASSERT_TRUE((*wal)->Append(Insert(7, {0x07})).ok());
+    EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{5, 7}));
+  }
+  // A crash left a torn tail; the reopening replay trims it and the new
+  // writer's first append lands where the garbage began.
+  ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(2 * frame - 4)), 0);
+  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{5}));
+  {
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    EXPECT_EQ(*(*wal)->SizeBytes(), frame);
+    ASSERT_TRUE((*wal)->Append(Insert(8, {0x08})).ok());
+    EXPECT_EQ(*(*wal)->SizeBytes(), 2 * frame);
+  }
+  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{5, 8}));
+  std::remove(path.c_str());
+}
+
+TEST(WalTest, FrameBatchAddInsertMatchesAdd) {
+  FrameBatch by_record;
+  FrameBatch in_place;
+  const std::vector<uint8_t> value = {0x10, 0x20, 0x30, 0x40, 0x50};
+  for (int64_t key : {int64_t{1}, int64_t{-7}, int64_t{1} << 40}) {
+    by_record.Add(Insert(key, value));
+    in_place.AddInsert(key, static_cast<uint32_t>(value.size()),
+                       [&](uint8_t* out) {
+                         std::copy(value.begin(), value.end(), out);
+                       });
+  }
+  EXPECT_EQ(in_place.frames(), 3u);
+  ASSERT_EQ(in_place.bytes(), by_record.bytes());
+  EXPECT_TRUE(std::equal(in_place.data(), in_place.data() + in_place.bytes(),
+                         by_record.data()));
+}
+
+TEST(WalTest, AppendBatchIsOneWriteAndOneOptionalSync) {
+  std::string path = TempPath("wal_batch_one_write.log");
+  std::remove(path.c_str());
+  auto wal = WriteAheadLog::Open(path);
+  ASSERT_TRUE(wal.ok());
+  FrameBatch batch;
+  for (int64_t key = 1; key <= 4; ++key) batch.Add(Insert(key, {0x11}));
+  ASSERT_TRUE((*wal)->AppendBatch(batch, {}).ok());
+  auto stats = (*wal)->group_commit_stats();
+  EXPECT_EQ(stats.writes, 1u);
+  EXPECT_EQ(stats.syncs, 0u);
+  EXPECT_EQ(stats.records, 4u);
+
+  batch.Clear();
+  for (int64_t key = 5; key <= 6; ++key) batch.Add(Insert(key, {0x22}));
+  WriteAheadLog::BatchOptions durable;
+  durable.sync = true;
+  ASSERT_TRUE((*wal)->AppendBatch(batch, durable).ok());
+  stats = (*wal)->group_commit_stats();
+  EXPECT_EQ(stats.writes, 2u);
+  EXPECT_EQ(stats.syncs, 1u);
+  EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{1, 2, 3, 4, 5, 6}));
+  std::remove(path.c_str());
+}
+
+TEST(WalTest, AppendBatchFailureAtRecordKWritesNoneOfTheBatch) {
+  // Every fault kind that fails a record fails its whole batch; the log
+  // never shows a gap followed by later records.
+  for (faults::FaultKind kind :
+       {faults::FaultKind::kIoError, faults::FaultKind::kTornWrite,
+        faults::FaultKind::kDiskFull}) {
+    std::string path = TempPath("wal_batch_fail_k.log");
+    std::remove(path.c_str());
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->Append(Insert(1, {0x01})).ok());
+    const uint64_t before = *(*wal)->SizeBytes();
+    faults::FaultPlan plan(22);
+    plan.FailNth(faults::FaultOp::kWalAppend, 3, kind);
+    (*wal)->set_fault_plan(&plan);
+    FrameBatch batch;
+    for (int64_t key = 2; key <= 5; ++key) batch.Add(Insert(key, {0x02}));
+    EXPECT_FALSE((*wal)->AppendBatch(batch, {}).ok());
+    EXPECT_EQ(*(*wal)->SizeBytes(), before);
+    (*wal)->set_fault_plan(nullptr);
+    batch.Clear();
+    batch.Add(Insert(6, {0x06}));
+    ASSERT_TRUE((*wal)->AppendBatch(batch, {}).ok());
+    EXPECT_EQ(ReplayKeys(path), (std::vector<int64_t>{1, 6}));
+    std::remove(path.c_str());
+  }
+}
+
+TEST(WalTest, AppendBatchFrameCrashPointKeepsEarlierFramesAndAPrefix) {
+  std::string path = TempPath("wal_batch_frame_crash.log");
+  std::remove(path.c_str());
+  const uint64_t frame = FrameSize(Insert(1, {0x01}));
+  auto& registry = faults::CrashPointRegistry::Global();
+  for (uint64_t payload : {0u, 9u}) {
+    std::remove(path.c_str());
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    FrameBatch batch;
+    for (int64_t key = 1; key <= 4; ++key) batch.Add(Insert(key, {0x01}));
+    WriteAheadLog::BatchOptions options;
+    options.frame_crash_point = faults::kCpJournalPreSync;
+    registry.Reset();
+    registry.Arm(faults::kCpJournalPreSync, 3, payload);
+    Status s = (*wal)->AppendBatch(batch, options);
+    registry.Reset();
+    EXPECT_EQ(s.code(), StatusCode::kAborted);
+    // Frames 1 and 2 intact, then all of frame 3 (payload 0) or its
+    // first `payload` bytes.
+    EXPECT_EQ(*(*wal)->SizeBytes(),
+              2 * frame + (payload == 0 ? frame : payload));
+    EXPECT_EQ(ReplayKeys(path), payload == 0
+                                    ? (std::vector<int64_t>{1, 2, 3})
+                                    : (std::vector<int64_t>{1, 2}));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WalTest, GroupCommitSharesTheBatchWriterWithAppendBatch) {
+  // AppendDurable leaders and an AppendBatch caller race for the one
+  // committer slot; every acked record replays exactly once.
+  constexpr int kDurableThreads = 3;
+  constexpr int kPerThread = 100;
+  constexpr int kBatches = 50;
+  std::string path = TempPath("wal_group_and_batch.log");
+  std::remove(path.c_str());
+  {
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kDurableThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          if (!(*wal)->AppendDurable(Insert(t * kPerThread + i, {0x01})).ok()) {
+            ++failures;
+          }
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      FrameBatch batch;
+      for (int b = 0; b < kBatches; ++b) {
+        batch.Clear();
+        for (int i = 0; i < 2; ++i) {
+          batch.Add(Insert(100'000 + 2 * b + i, {0x02}));
+        }
+        if (!(*wal)->AppendBatch(batch, {}).ok()) ++failures;
+      }
+    });
+    for (auto& th : threads) th.join();
+    ASSERT_EQ(failures.load(), 0);
+    EXPECT_EQ((*wal)->group_commit_stats().records,
+              static_cast<uint64_t>(kDurableThreads * kPerThread +
+                                    2 * kBatches));
+  }
+  std::vector<int64_t> keys = ReplayKeys(path);
+  ASSERT_EQ(keys.size(),
+            static_cast<size_t>(kDurableThreads * kPerThread + 2 * kBatches));
+  std::map<int64_t, int> seen;
+  for (int64_t key : keys) EXPECT_EQ(++seen[key], 1) << key;
   std::remove(path.c_str());
 }
 
