@@ -94,18 +94,6 @@ ManagementService::ManagementService(MetadataStore* metadata,
       max_attempts_(max_attempts),
       storm_ended_at_(std::numeric_limits<EpochSeconds>::min() / 2) {}
 
-ManagementService::ManagementService(MetadataStore* metadata,
-                                     ControlPlaneConfig config,
-                                     SimpleResumeCallback resume,
-                                     int max_attempts)
-    : ManagementService(
-          metadata, config,
-          ResumeCallback([cb = std::move(resume)](const ResumeAttempt& a,
-                                                  EpochSeconds now) {
-            return cb(a.db, now);
-          }),
-          max_attempts) {}
-
 size_t ManagementService::pending_workflows() const {
   size_t n = 0;
   for (const auto& q : queues_) n += q.size();
@@ -564,10 +552,11 @@ void ManagementService::NoteStaleEpochAck(DbId db) {
   ++diagnostics_.stale_epoch_acks;
 }
 
-void ManagementService::ResolveUnacked(DbId db, UnackedDispatch u,
-                                       bool is_hedge, const Status& outcome,
-                                       EpochSeconds now) {
+ManagementService::VerdictEffect ManagementService::ApplyVerdict(
+    UnackedDispatch& u, bool is_hedge, const Status& outcome,
+    EpochSeconds now) {
   WorkItem& item = u.item;
+  const DbId db = item.db;
   ClassDiagnostics& cd = Cls(item.cls);
   const bool hedge_verdict = is_hedge || u.hedge_dispatch;
   if (outcome.ok()) {
@@ -585,24 +574,17 @@ void ManagementService::ResolveUnacked(DbId db, UnackedDispatch u,
     if (hedge_verdict) rec.flags |= kJfHedge;
     if (item.attempts > 0) rec.flags |= kJfWasFailed;
     if (went_async) rec.flags |= kJfAsync;
-    if (!Journal(rec)) return;  // fenced; recovery reconciles the dispatch
+    if (!Journal(rec)) return VerdictEffect::kFenced;
+    queued_dbs_.erase(db);
     ++cd.resumed;
     if (item.attempts > 0) {
       ++diagnostics_.mitigated;
       ++cd.mitigated;
     }
     if (hedge_verdict) ++cd.hedge_wins;
-    if (item.cls == ResumeClass::kImminentProactive ||
-        item.cls == ResumeClass::kSpeculativeProactive) {
-      // Folded into the next RunOnce's resumed count (and its journaled
-      // kIteration aggregate), keeping the Figure 11 metric and replay
-      // exact.
-      ++async_resumed_pending_;
-    }
     if (u.gated) {
-      // Breaker bookkeeping uses the dispatch-time posture (stored at
-      // park time): an ack landing after the breaker moved on must not
-      // count as a probe it never was.
+      // Breaker bookkeeping uses the dispatch-time posture: an ack landing
+      // after the breaker moved on must not count as a probe it never was.
       if (u.half_open_probe) {
         ++half_open_successes_;
         if (half_open_successes_ >= config_.breaker_half_open_probes) {
@@ -613,6 +595,7 @@ void ManagementService::ResolveUnacked(DbId db, UnackedDispatch u,
       }
     }
     if (went_async) {
+      // Resources arrive asynchronously; the watchdog guards the wait.
       InFlightItem f;
       f.cls = item.cls;
       f.attempts = item.attempts + 1;
@@ -623,16 +606,16 @@ void ManagementService::ResolveUnacked(DbId db, UnackedDispatch u,
     }
     // A reactive interest noted while unacked is satisfied by the resume
     // itself — the customer's database is up.
-    return;
+    return VerdictEffect::kResumed;
   }
   if (outcome.code() == StatusCode::kFailedPrecondition) {
-    // The database is no longer physically paused; retire silently,
-    // breaker-neutral, exactly like the synchronous path.
+    // The database is no longer physically paused (it resumed on its own
+    // or was already handled): nothing to do.  Breaker-neutral.
     RetireSkipped(item);
-    return;
+    return VerdictEffect::kSettled;
   }
-  // Transient workflow failure reported by the node: mirror the
-  // synchronous failure path (backoff retry or incident).
+  // Transient workflow failure: the diagnostics runner mitigates by
+  // retrying after a capped exponential backoff, or raises an incident.
   int new_attempts = item.attempts + 1;
   const bool incident = new_attempts >= max_attempts_;
   DurationSeconds delay = incident ? 0 : BackoffDelay(db, new_attempts);
@@ -645,7 +628,7 @@ void ManagementService::ResolveUnacked(DbId db, UnackedDispatch u,
   if (!incident) rec.not_before = now + delay;
   if (new_attempts == 1) rec.flags |= kJfFirstFailure;
   if (incident) rec.flags |= kJfIncident;
-  if (!Journal(rec)) return;
+  if (!Journal(rec)) return VerdictEffect::kFenced;
   item.attempts = new_attempts;
   if (item.attempts == 1) {
     ++diagnostics_.stuck_workflows;
@@ -671,13 +654,30 @@ void ManagementService::ResolveUnacked(DbId db, UnackedDispatch u,
       PromoteToReactive(db, now);
     }
   } else {
-    ++diagnostics_.incidents;
+    queued_dbs_.erase(db);
+    ++diagnostics_.incidents;  // mitigation failed -> on-call engineer
     ++cd.incidents;
     if (u.reactive_interest) {
       // The login absorbed while unacked still needs a workflow; the db
       // is no longer queued at this point, so a fresh accept is valid.
       EnqueueItem(db, ResumeClass::kReactiveLogin, now);
     }
+  }
+  return VerdictEffect::kSettled;
+}
+
+void ManagementService::ResolveUnacked(UnackedDispatch u, bool is_hedge,
+                                       const Status& outcome,
+                                       EpochSeconds now) {
+  const ResumeClass cls = u.item.cls;
+  if (ApplyVerdict(u, is_hedge, outcome, now) ==
+          VerdictEffect::kResumed &&
+      (cls == ResumeClass::kImminentProactive ||
+       cls == ResumeClass::kSpeculativeProactive)) {
+    // Folded into the next RunOnce's resumed count (and its journaled
+    // kIteration aggregate), keeping the Figure 11 metric and replay
+    // exact.
+    ++async_resumed_pending_;
   }
 }
 
@@ -709,7 +709,7 @@ void ManagementService::OnDispatchAck(DbId db, uint64_t request_id,
   }
   UnackedDispatch resolved = std::move(it->second);
   unacked_.erase(it);
-  ResolveUnacked(db, std::move(resolved), is_hedge, outcome, now);
+  ResolveUnacked(std::move(resolved), is_hedge, outcome, now);
 }
 
 void ManagementService::OnDispatchTimeout(DbId db, uint64_t request_id,
@@ -852,7 +852,7 @@ void ManagementService::Watchdog(EpochSeconds now) {
     if (s.ok() || s.code() == StatusCode::kFailedPrecondition) {
       UnackedDispatch u = std::move(it->second);
       unacked_.erase(it);
-      ResolveUnacked(db, std::move(u), /*is_hedge=*/true, s, now);
+      ResolveUnacked(std::move(u), /*is_hedge=*/true, s, now);
     } else {
       // Transient inline hedge nack: the hedge rid is already settled on
       // the dispatcher side, so the slot must be spent here — leaving it
@@ -862,7 +862,7 @@ void ManagementService::Watchdog(EpochSeconds now) {
       if (it->second.request_id == 0) {
         UnackedDispatch u = std::move(it->second);
         unacked_.erase(it);
-        ResolveUnacked(db, std::move(u), /*is_hedge=*/true, s, now);
+        ResolveUnacked(std::move(u), /*is_hedge=*/true, s, now);
       }
     }
   }
@@ -986,6 +986,15 @@ uint64_t ManagementService::DrainClass(ResumeClass cls, EpochSeconds now,
     attempt.node_offset = hedge_now ? 1 : 0;
     attempt.enqueued_at = item.enqueued_at;
     attempt.request_id = NextRequestId();
+    // The dispatch-time posture travels with the verdict, whether it comes
+    // back inline or later over the transport.
+    UnackedDispatch u;
+    u.item = item;
+    u.request_id = attempt.request_id;
+    u.sent_at = now;
+    u.gated = gated && !hedge_now;
+    u.half_open_probe = u.gated && breaker_ == BreakerState::kHalfOpen;
+    u.hedge_dispatch = hedge_now;
     Status s = resume_(attempt, now);
     if (s.code() == StatusCode::kAborted) {
       // An injected crash fired inside the resume path (e.g. a journaled
@@ -1011,117 +1020,17 @@ uint64_t ManagementService::DrainClass(ResumeClass cls, EpochSeconds now,
       // Journal-wise nothing more is needed: the kDispatched above
       // without an outcome IS the unacked state, and a crash here leaves
       // exactly what FinishRecovery reconciles against the node.
-      UnackedDispatch u;
-      u.item = item;
-      u.request_id = attempt.request_id;
-      u.sent_at = now;
-      u.gated = gated && !hedge_now;
-      u.half_open_probe = u.gated && breaker_ == BreakerState::kHalfOpen;
-      u.hedge_dispatch = hedge_now;
       unacked_.emplace(item.db, std::move(u));
       queued_dbs_.erase(item.db);
       ++diagnostics_.unacked_dispatches;
       continue;
     }
-    if (s.ok()) {
-      const bool went_async = cls == ResumeClass::kReactiveLogin &&
-                              config_.deadline_hedging_enabled;
-      EpochSeconds effective_deadline =
-          item.deadline > 0 ? item.deadline : now + DeadlineFor(item.cls);
-      JournalRecord rec;
-      rec.event = JournalEvent::kOutcomeOk;
-      rec.db = item.db;
-      rec.cls = static_cast<uint8_t>(item.cls);
-      rec.attempt = item.attempts + 1;
-      rec.time = now;
-      rec.deadline = went_async ? effective_deadline : item.deadline;
-      if (hedge_now) rec.flags |= kJfHedge;
-      if (item.attempts > 0) rec.flags |= kJfWasFailed;
-      if (went_async) rec.flags |= kJfAsync;
-      if (!Journal(rec)) {
-        q.push_front(item);
-        break;
-      }
-      queued_dbs_.erase(item.db);
-      ++resumed;
-      ++cd.resumed;
-      if (item.attempts > 0) {
-        ++diagnostics_.mitigated;
-        ++cd.mitigated;
-      }
-      if (hedge_now) ++cd.hedge_wins;
-      if (gated && !hedge_now) {
-        if (breaker_ == BreakerState::kHalfOpen) {
-          ++half_open_successes_;
-          if (half_open_successes_ >= config_.breaker_half_open_probes) {
-            SetBreaker(BreakerState::kClosed, now);
-          }
-        } else {
-          RecordOutcome(/*success=*/true, now);
-        }
-      }
-      if (went_async) {
-        // Resources arrive asynchronously; the watchdog guards the wait.
-        InFlightItem f;
-        f.cls = item.cls;
-        f.attempts = item.attempts + 1;
-        f.started = now;
-        f.deadline = effective_deadline;
-        f.hedged = item.hedged;
-        in_flight_[item.db] = f;
-      }
-      continue;
+    const VerdictEffect effect = ApplyVerdict(u, /*is_hedge=*/false, s, now);
+    if (effect == VerdictEffect::kFenced) {
+      q.push_front(item);
+      break;
     }
-    if (s.code() == StatusCode::kFailedPrecondition) {
-      // The database is no longer physically paused (it resumed on its
-      // own or was already handled): nothing to do.  Breaker-neutral.
-      RetireSkipped(item);
-      continue;
-    }
-    // Transient workflow failure: the diagnostics runner mitigates by
-    // retrying after a capped exponential backoff.
-    {
-      int new_attempts = item.attempts + 1;
-      const bool incident = new_attempts >= max_attempts_;
-      DurationSeconds delay =
-          incident ? 0 : BackoffDelay(item.db, new_attempts);
-      JournalRecord rec;
-      rec.event = JournalEvent::kOutcomeFailed;
-      rec.db = item.db;
-      rec.cls = static_cast<uint8_t>(item.cls);
-      rec.attempt = new_attempts;
-      rec.time = now;
-      if (!incident) rec.not_before = now + delay;
-      if (new_attempts == 1) rec.flags |= kJfFirstFailure;
-      if (incident) rec.flags |= kJfIncident;
-      if (!Journal(rec)) {
-        q.push_front(item);
-        break;
-      }
-      item.attempts = new_attempts;
-      if (item.attempts == 1) {
-        ++diagnostics_.stuck_workflows;
-        ++cd.stuck;
-      }
-      if (gated && !hedge_now) {
-        if (breaker_ == BreakerState::kHalfOpen) {
-          SetBreaker(BreakerState::kOpen, now);  // failed probe: re-open
-        } else {
-          RecordOutcome(/*success=*/false, now);
-        }
-      }
-      if (!incident) {
-        item.not_before = now + delay;
-        ++diagnostics_.backoff_retries_scheduled;
-        diagnostics_.backoff_delay_seconds_total +=
-            static_cast<uint64_t>(delay);
-        q.push_back(item);
-      } else {
-        queued_dbs_.erase(item.db);
-        ++diagnostics_.incidents;  // mitigation failed -> on-call engineer
-        ++cd.incidents;
-      }
-    }
+    if (effect == VerdictEffect::kResumed) ++resumed;
   }
   return resumed;
 }

@@ -179,15 +179,9 @@ class ManagementService {
  public:
   using ResumeCallback =
       std::function<Status(const ResumeAttempt& attempt, EpochSeconds now)>;
-  /// Legacy signature: (db, now).  Attempts of every class and hedges are
-  /// routed through it identically; kept so pre-storm callers compile
-  /// unchanged.
-  using SimpleResumeCallback = std::function<Status(DbId db, EpochSeconds now)>;
 
   ManagementService(MetadataStore* metadata, ControlPlaneConfig config,
                     ResumeCallback resume, int max_attempts = 3);
-  ManagementService(MetadataStore* metadata, ControlPlaneConfig config,
-                    SimpleResumeCallback resume, int max_attempts = 3);
 
   /// One iteration of the proactive resume operation.  Returns the number
   /// of databases proactively resumed in this iteration (the Figure 11
@@ -243,8 +237,8 @@ class ManagementService {
   // transport reports one of the calls below.
 
   /// The node's verdict for dispatch `request_id` of `db` arrived.
-  /// Applies exactly the outcome bookkeeping the synchronous path would
-  /// have applied at dispatch time.  Unknown (db, request_id) pairs are
+  /// Applies the same verdict path an inline reply takes, under the
+  /// posture stored at dispatch time.  Unknown (db, request_id) pairs are
   /// counted as late acks and ignored.
   void OnDispatchAck(DbId db, uint64_t request_id, const Status& outcome,
                      EpochSeconds now);
@@ -377,10 +371,11 @@ class ManagementService {
     bool hedged = false;
   };
 
-  /// A dispatch whose resume callback returned kPending: the request is
-  /// on the wire, the outcome unknown.  The item carries the full queued
-  /// state so an ack can replay the synchronous outcome path and a
-  /// timeout can requeue it unchanged.
+  /// One resume dispatch with its dispatch-time posture.  A dispatch
+  /// whose resume callback returned kPending parks here while the request
+  /// is on the wire, the outcome unknown: the item carries the full
+  /// queued state so an ack can apply the same verdict path as an inline
+  /// reply and a timeout can requeue it unchanged.
   struct UnackedDispatch {
     WorkItem item;
     uint64_t request_id = 0;        // the primary dispatch
@@ -422,10 +417,23 @@ class ManagementService {
   /// counter — draws no randomness, so assigning ids never perturbs the
   /// deterministic schedule.
   uint64_t NextRequestId() { return (epoch_ << 32) | ++dispatch_seq_; }
-  /// Applies a node verdict to an unacked dispatch — the asynchronous
-  /// mirror of DrainClass's outcome handling.  `is_hedge` marks the
-  /// verdict as belonging to the hedge dispatch.
-  void ResolveUnacked(DbId db, UnackedDispatch u, bool is_hedge,
+  /// What ApplyVerdict did with a node verdict.
+  enum class VerdictEffect {
+    kFenced,   ///< the outcome could not be journaled; nothing applied
+    kResumed,  ///< the resume succeeded
+    kSettled,  ///< retired, retried after backoff, or escalated
+  };
+  /// The one outcome path for a node verdict, inline (DrainClass) or
+  /// acked later over the transport (ResolveUnacked): success,
+  /// state-changed and transient-failure bookkeeping, breaker and
+  /// half-open probe updates under the dispatch-time posture stored in
+  /// `u`, then backoff or incident.  `is_hedge` marks the verdict as
+  /// belonging to the hedge dispatch.
+  VerdictEffect ApplyVerdict(UnackedDispatch& u, bool is_hedge,
+                             const Status& outcome, EpochSeconds now);
+  /// Applies an acked verdict to an unacked dispatch; an async proactive
+  /// success folds into the next RunOnce's resumed count.
+  void ResolveUnacked(UnackedDispatch u, bool is_hedge,
                       const Status& outcome, EpochSeconds now);
   /// Promotes a queued non-reactive item of `db` to a fresh reactive
   /// workflow (retire + re-enqueue), shared by EnqueueReactive and the

@@ -4,10 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include "controlplane/recovery_torture.h"
 #include "faults/crash_points.h"
+#include "sim/plane_torture.h"
 
-namespace prorp::controlplane {
+namespace prorp::sim {
 namespace {
 
 namespace fs = std::filesystem;
@@ -19,7 +19,19 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-void ExpectInvariants(const RecoveryTortureResult& r,
+/// A crash-recovery cell: the 120-step workload over a fault-free wire
+/// (every ack inline), no node faults, no failure detector, and a 10%
+/// transient workflow-failure rate that keeps the retry path busy.
+PlaneTortureOptions RecoveryCell(uint64_t seed) {
+  PlaneTortureOptions opts;
+  opts.seed = seed;
+  opts.steps = 120;
+  opts.detection_enabled = false;
+  opts.fail_probability = 0.10;
+  return opts;
+}
+
+void ExpectInvariants(const PlaneTortureResult& r,
                       const std::string& label) {
   EXPECT_EQ(r.lost_reactive, 0u) << label << ": accepted reactive login lost";
   EXPECT_EQ(r.duplicate_resumes, 0u) << label << ": double resume";
@@ -29,10 +41,9 @@ void ExpectInvariants(const RecoveryTortureResult& r,
 }
 
 TEST(RecoveryTortureTest, CleanRunHasNoRecoveries) {
-  RecoveryTortureOptions opts;
+  PlaneTortureOptions opts = RecoveryCell(1);
   opts.dir = FreshDir("rt_clean");
-  opts.seed = 1;
-  auto result = RunRecoveryTorture(opts);
+  auto result = RunPlaneTorture(opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->crash_fired);
   EXPECT_EQ(result->recoveries, 0);
@@ -42,11 +53,10 @@ TEST(RecoveryTortureTest, CleanRunHasNoRecoveries) {
 }
 
 TEST(RecoveryTortureTest, CountingPassObservesEveryControlPlanePoint) {
-  RecoveryTortureOptions opts;
+  PlaneTortureOptions opts = RecoveryCell(2);
   opts.dir = FreshDir("rt_observe");
-  opts.seed = 2;
   opts.storm = true;
-  auto hits = ObserveControlPlaneCrashPoints(opts);
+  auto hits = ObservePlaneCrashPoints(opts);
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
   for (std::string_view point : faults::ControlPlaneCrashPoints()) {
     EXPECT_GT((*hits)[std::string(point)], 0u) << point;
@@ -61,27 +71,26 @@ std::vector<uint64_t> NthChoices(uint64_t hits) {
   return nths;
 }
 
-/// The crash-torture matrix of ISSUE 7: every control-plane crash point,
+/// The crash-torture matrix: every control-plane crash point,
 /// >= 8 seeds, under storm and outage pressure.  Each cell kills the
 /// control plane at a crash site that the counting pass proved is
 /// actually reached, recovers, and asserts the recovery guarantees.
 TEST(RecoveryTortureTest, MatrixEveryPointManySeeds) {
   int cells = 0;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RecoveryTortureOptions base;
-    base.seed = seed;
+    PlaneTortureOptions base = RecoveryCell(seed);
     base.storm = (seed % 2 == 0);
     base.outage = (seed % 4 < 2);
     base.checkpoint_every = (seed % 3 == 0) ? 32 : 64;
     base.dir = FreshDir("rt_count_" + std::to_string(seed));
-    auto hits = ObserveControlPlaneCrashPoints(base);
+    auto hits = ObservePlaneCrashPoints(base);
     ASSERT_TRUE(hits.ok()) << hits.status().ToString();
     for (std::string_view point : faults::ControlPlaneCrashPoints()) {
       uint64_t observed = (*hits)[std::string(point)];
       ASSERT_GT(observed, 0u) << "seed " << seed << " never reached "
                               << point;
       for (uint64_t nth : NthChoices(observed)) {
-        RecoveryTortureOptions opts = base;
+        PlaneTortureOptions opts = base;
         opts.crash_point = std::string(point);
         opts.crash_nth = nth;
         // For the pre-sync point, odd seeds tear the frame (payload
@@ -95,7 +104,7 @@ TEST(RecoveryTortureTest, MatrixEveryPointManySeeds) {
         opts.dir = FreshDir("rt_" + std::to_string(seed) + "_" +
                             std::to_string(nth) + "_" +
                             std::string(point));
-        auto result = RunRecoveryTorture(opts);
+        auto result = RunPlaneTorture(opts);
         ASSERT_TRUE(result.ok()) << label << ": "
                                  << result.status().ToString();
         EXPECT_TRUE(result->crash_fired) << label;
@@ -114,14 +123,12 @@ TEST(RecoveryTortureTest, MatrixEveryPointManySeeds) {
 /// so the run crashes and recovers many times at arbitrary transitions.
 TEST(RecoveryTortureTest, JournalFaultSoakSurvivesRepeatedCrashes) {
   for (uint64_t seed : {3u, 11u, 27u}) {
-    RecoveryTortureOptions opts;
+    PlaneTortureOptions opts = RecoveryCell(seed);
     opts.dir = FreshDir("rt_soak_" + std::to_string(seed));
-    opts.seed = seed;
     opts.storm = true;
     opts.outage = (seed % 2 == 1);
     opts.journal_fault_probability = 0.002;
-    opts.max_recoveries = 128;
-    auto result = RunRecoveryTorture(opts);
+    auto result = RunPlaneTorture(opts);
     ASSERT_TRUE(result.ok())
         << "seed " << seed << ": " << result.status().ToString();
     EXPECT_GE(result->recoveries, 1) << "seed " << seed;
@@ -130,4 +137,4 @@ TEST(RecoveryTortureTest, JournalFaultSoakSurvivesRepeatedCrashes) {
 }
 
 }  // namespace
-}  // namespace prorp::controlplane
+}  // namespace prorp::sim

@@ -1,17 +1,19 @@
-// The network-torture matrix (ISSUE: tentpole acceptance): every
-// message-fault kind x seeds x storm/outage/control-plane-crash overlays,
-// through the full plane -> dispatcher -> faulty wire -> node-agent stack.
+// The network-torture matrix: every message-fault kind x seeds x
+// storm/outage/control-plane-crash overlays, through the full plane ->
+// dispatcher -> faulty wire -> node-agent stack of the plane torture
+// harness.
 // Every cell must show zero accepted-login loss, zero double-applies,
 // zero stale-epoch applies, and reconciled accounting after the drain.
 
-#include "net/network_torture.h"
-
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-namespace prorp::net {
+#include "sim/plane_torture.h"
+
+namespace prorp::sim {
 namespace {
 
 std::string FreshDir(const std::string& name) {
@@ -21,8 +23,42 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// A network cell: the 160-step workload with a 10% transient
+/// workflow-failure rate, lease fan-out every five minutes, and no
+/// failure detector (leases stay telemetry-only).
+PlaneTortureOptions NetworkCell(uint64_t seed) {
+  PlaneTortureOptions opt;
+  opt.seed = seed;
+  opt.steps = 160;
+  opt.fail_probability = 0.10;
+  opt.lease_interval = 300;
+  opt.detection_enabled = false;
+  return opt;
+}
+
+/// The plane <-> node-subset partition window: the lower half of the
+/// nodes cut off in `direction` for 20 steps from a third of the way in.
+std::vector<NodeFaultSpec> PartitionWindow(const PlaneTortureOptions& opt,
+                                           uint64_t direction) {
+  std::vector<NodeFaultSpec> window;
+  for (int node = 1; node <= 1 + (opt.num_nodes - 1) / 2; ++node) {
+    NodeFaultSpec p;
+    p.kind = NodeFaultSpec::Kind::kPartition;
+    p.node = static_cast<uint32_t>(node);
+    p.direction = static_cast<net::PartitionSpec::Direction>(direction % 3);
+    p.at_step = opt.steps / 3 - 1;  // the window opens at step steps/3
+    p.duration_steps = 20;
+    window.push_back(p);
+  }
+  return window;
+}
+
 /// The exactly-once/fencing/accounting invariants every cell must hold.
-void ExpectInvariants(const NetworkTortureResult& r, const std::string& tag) {
+/// A cell recovers the control plane exactly when it injects a plane
+/// crash.
+void ExpectInvariants(const PlaneTortureResult& r,
+                      const PlaneTortureOptions& opt, const std::string& tag) {
+  EXPECT_EQ(r.recoveries, opt.crash_at_step >= 0 ? 1 : 0) << tag;
   EXPECT_EQ(r.lost_reactive, 0u) << tag;
   EXPECT_EQ(r.double_applies, 0u) << tag;
   EXPECT_EQ(r.stale_epoch_applied, 0u) << tag;
@@ -31,13 +67,12 @@ void ExpectInvariants(const NetworkTortureResult& r, const std::string& tag) {
 }
 
 TEST(NetworkTortureTest, FaultFreeWireIsQuiet) {
-  NetworkTortureOptions opt;
+  PlaneTortureOptions opt = NetworkCell(1);
   opt.dir = FreshDir("net_torture_quiet");
-  opt.seed = 1;
   opt.fail_probability = 0;  // nothing to retry, nothing to hedge
-  auto r = RunNetworkTorture(opt);
+  auto r = RunPlaneTorture(opt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectInvariants(*r, "fault-free");
+  ExpectInvariants(*r, opt, "fault-free");
   EXPECT_GT(r->total_resumed, 0u);
   EXPECT_GT(r->accepted_reactive, 0u);
   // A clean wire never loses, defers, or repeats anything.
@@ -71,18 +106,18 @@ TEST(NetworkTortureTest, MatrixEveryFaultKindAcrossSeedsAndOverlays) {
   // 5 fault kinds x 8 seeds; the overlay (none / storm / outage /
   // control-plane crash) rotates with the seed so every kind meets every
   // overlay somewhere in the matrix.
-  NetworkTortureResult total;
+  PlaneTortureResult total;
   uint64_t crash_cells = 0;
   for (const Cell& cell : kCells) {
     for (uint64_t seed = 1; seed <= 8; ++seed) {
-      NetworkTortureOptions opt;
+      PlaneTortureOptions opt = NetworkCell(seed);
       opt.dir = FreshDir("net_torture_" + std::string(cell.name) + "_" +
                          std::to_string(seed));
-      opt.seed = seed;
       opt.drop_p = cell.drop_p;
       opt.duplicate_p = cell.duplicate_p;
       opt.delay_p = cell.delay_p;
-      opt.partition = cell.partition;
+      // The partition's direction rotates with the seed.
+      if (cell.partition) opt.faults = PartitionWindow(opt, seed);
       switch (seed % 4) {
         case 1: opt.storm = true; break;
         case 2: opt.outage = true; break;
@@ -91,9 +126,9 @@ TEST(NetworkTortureTest, MatrixEveryFaultKindAcrossSeedsAndOverlays) {
       }
       const std::string tag =
           std::string(cell.name) + " seed=" + std::to_string(seed);
-      auto r = RunNetworkTorture(opt);
+      auto r = RunPlaneTorture(opt);
       ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
-      ExpectInvariants(*r, tag);
+      ExpectInvariants(*r, opt, tag);
       EXPECT_GT(r->total_resumed, 0u) << tag;
       if (opt.crash_at_step >= 0) {
         EXPECT_EQ(r->recoveries, 1) << tag;
@@ -141,17 +176,15 @@ TEST(NetworkTortureTest, MatrixEveryFaultKindAcrossSeedsAndOverlays) {
 TEST(NetworkTortureTest, AsymmetricPartitionsHoldTheInvariants) {
   for (int direction : {1, 2}) {
     for (uint64_t seed : {5u, 9u}) {
-      NetworkTortureOptions opt;
+      PlaneTortureOptions opt = NetworkCell(seed);
       opt.dir = FreshDir("net_torture_oneway_" + std::to_string(direction) +
                          "_" + std::to_string(seed));
-      opt.seed = seed;
-      opt.partition = true;
-      opt.partition_direction = direction;
+      opt.faults = PartitionWindow(opt, static_cast<uint64_t>(direction));
       const std::string tag = "direction=" + std::to_string(direction) +
                               " seed=" + std::to_string(seed);
-      auto r = RunNetworkTorture(opt);
+      auto r = RunPlaneTorture(opt);
       ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
-      ExpectInvariants(*r, tag);
+      ExpectInvariants(*r, opt, tag);
       EXPECT_GT(r->total_resumed, 0u) << tag;
       EXPECT_GT(r->transport.partitioned, 0u) << tag;
       if (direction == 2) {
@@ -168,21 +201,20 @@ TEST(NetworkTortureTest, EverythingAtOnceSoak) {
   // The worst corner: every fault kind live at once, storm + outage
   // overlays, and a mid-run control-plane crash, over a longer horizon.
   for (uint64_t seed : {3u, 11u, 29u}) {
-    NetworkTortureOptions opt;
+    PlaneTortureOptions opt = NetworkCell(seed);
     opt.dir = FreshDir("net_torture_soak_" + std::to_string(seed));
-    opt.seed = seed;
     opt.steps = 320;
     opt.drop_p = 0.10;
     opt.duplicate_p = 0.10;
     opt.delay_p = 0.10;
-    opt.partition = true;
+    opt.faults = PartitionWindow(opt, seed);
     opt.storm = true;
     opt.outage = true;
     opt.crash_at_step = 150;
     const std::string tag = "soak seed=" + std::to_string(seed);
-    auto r = RunNetworkTorture(opt);
+    auto r = RunPlaneTorture(opt);
     ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
-    ExpectInvariants(*r, tag);
+    ExpectInvariants(*r, opt, tag);
     EXPECT_EQ(r->recoveries, 1) << tag;
     EXPECT_GT(r->total_resumed, 0u) << tag;
     EXPECT_GT(r->retransmissions, 0u) << tag;
@@ -190,4 +222,4 @@ TEST(NetworkTortureTest, EverythingAtOnceSoak) {
 }
 
 }  // namespace
-}  // namespace prorp::net
+}  // namespace prorp::sim

@@ -1,10 +1,10 @@
-#include "sim/failover_torture.h"
-
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "sim/plane_torture.h"
 
 namespace prorp::sim {
 namespace {
@@ -18,6 +18,8 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
+/// A one-node fault; kPartition keeps the default kFromNodes direction,
+/// which makes it a zombie.
 NodeFaultSpec Fault(NodeFaultSpec::Kind kind, uint32_t node, int at_step,
                     int duration_steps) {
   NodeFaultSpec f;
@@ -30,13 +32,14 @@ NodeFaultSpec Fault(NodeFaultSpec::Kind kind, uint32_t node, int at_step,
 
 /// Runs one cell and asserts the invariants every failover-torture run
 /// must uphold, whatever the fault mix.
-FailoverTortureResult RunCell(const std::string& name,
-                              FailoverTortureOptions opt) {
+PlaneTortureResult RunCell(const std::string& name, PlaneTortureOptions opt) {
   opt.dir = FreshDir(name);
-  auto result = RunFailoverTorture(opt);
+  auto result = RunPlaneTorture(opt);
   EXPECT_TRUE(result.ok()) << name << ": " << result.status().ToString();
   if (!result.ok()) return {};
   EXPECT_TRUE(result->drained) << name;
+  // The plane recovers exactly when the cell injects a plane crash.
+  EXPECT_EQ(result->recoveries, opt.crash_at_step >= 0 ? 1 : 0) << name;
   EXPECT_EQ(result->lost_reactive, 0u) << name;
   EXPECT_EQ(result->double_applies, 0u) << name;
   EXPECT_EQ(result->stale_epoch_applied, 0u) << name;
@@ -50,7 +53,7 @@ FailoverTortureResult RunCell(const std::string& name,
 // Tentpole: a crashed node is detected, declared dead, and every
 // database placed on it is re-dispatched to survivors.
 TEST(FailoverTortureTest, NodeCrashIsDetectedAndFailedOver) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 11;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 2, 40, 60)};
   auto r = RunCell("fo_crash", opt);
@@ -71,9 +74,9 @@ TEST(FailoverTortureTest, NodeCrashIsDetectedAndFailedOver) {
 // declares it dead — so its databases are re-placed with zero
 // double-lives even though the node was still executing work.
 TEST(FailoverTortureTest, ZombiePartitionSelfQuiescesBeforeFailover) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 12;
-  opt.faults = {Fault(NodeFaultSpec::Kind::kZombie, 1, 50, 30)};
+  opt.faults = {Fault(NodeFaultSpec::Kind::kPartition, 1, 50, 30)};
   auto r = RunCell("fo_zombie", opt);
   EXPECT_GE(r.deaths_declared, 1u);
   EXPECT_GE(r.self_quiesces, 1u);
@@ -83,7 +86,7 @@ TEST(FailoverTortureTest, ZombiePartitionSelfQuiescesBeforeFailover) {
 // Tentpole: a gray-slow node (alive, correct, late) is demoted on its
 // p99 reply latency, drains its lease, and fails over cleanly.
 TEST(FailoverTortureTest, SlowNodeIsDemotedOnLatencyScore) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 13;
   opt.steps = 240;
   // The delay must stay below suspect_after - lease_interval (else the
@@ -100,7 +103,7 @@ TEST(FailoverTortureTest, SlowNodeIsDemotedOnLatencyScore) {
 // Crash composed with message chaos: drops, duplicates, delays.
 TEST(FailoverTortureTest, CrashUnderMessageChaos) {
   for (uint64_t seed : {21, 22, 23}) {
-    FailoverTortureOptions opt;
+    PlaneTortureOptions opt;
     opt.seed = seed;
     opt.drop_p = 0.10;
     opt.duplicate_p = 0.10;
@@ -114,7 +117,7 @@ TEST(FailoverTortureTest, CrashUnderMessageChaos) {
 // Crash composed with a login storm: failover re-queues ride the
 // reactive class but must not amplify the storm accounting.
 TEST(FailoverTortureTest, CrashDuringStorm) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 31;
   opt.storm = true;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 1, 95, 40)};
@@ -124,7 +127,7 @@ TEST(FailoverTortureTest, CrashDuringStorm) {
 
 // Crash composed with a resume-path outage window.
 TEST(FailoverTortureTest, CrashDuringOutage) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 32;
   opt.outage = true;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 2, 66, 40)};
@@ -137,7 +140,7 @@ TEST(FailoverTortureTest, CrashDuringOutage) {
 // replay exactly once.
 TEST(FailoverTortureTest, PlaneCrashMidFailoverIsExactlyOnce) {
   for (int crash_at : {44, 48, 52}) {
-    FailoverTortureOptions opt;
+    PlaneTortureOptions opt;
     opt.seed = 41 + static_cast<uint64_t>(crash_at);
     opt.crash_at_step = crash_at;
     opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 2, 40, 60)};
@@ -151,21 +154,21 @@ TEST(FailoverTortureTest, PlaneCrashMidFailoverIsExactlyOnce) {
 // Zombie composed with a plane crash: both fences (epoch and lease) are
 // load-bearing in the same run.
 TEST(FailoverTortureTest, ZombieWithPlaneCrash) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 51;
   opt.crash_at_step = 60;
-  opt.faults = {Fault(NodeFaultSpec::Kind::kZombie, 2, 50, 30)};
+  opt.faults = {Fault(NodeFaultSpec::Kind::kPartition, 2, 50, 30)};
   auto r = RunCell("fo_zombie_plane", opt);
   EXPECT_EQ(r.recoveries, 1);
 }
 
 // Two overlapping node faults of different kinds.
 TEST(FailoverTortureTest, ConcurrentCrashAndZombie) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 61;
   opt.num_nodes = 5;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 1, 40, 60),
-                Fault(NodeFaultSpec::Kind::kZombie, 4, 45, 30)};
+                Fault(NodeFaultSpec::Kind::kPartition, 4, 45, 30)};
   auto r = RunCell("fo_concurrent", opt);
   EXPECT_GE(r.deaths_declared, 2u);
 }
@@ -182,7 +185,7 @@ TEST(FailoverTortureTest, DetectionThresholdSweep) {
       {90, 60, 180}, {150, 120, 240}, {240, 180, 360}};
   int idx = 0;
   for (const Cell& c : cells) {
-    FailoverTortureOptions opt;
+    PlaneTortureOptions opt;
     opt.seed = 71 + static_cast<uint64_t>(idx);
     opt.suspect_after = c.suspect_after;
     opt.dead_grace = c.dead_grace;
@@ -198,7 +201,7 @@ TEST(FailoverTortureTest, DetectionThresholdSweep) {
 // happens purely through retry/timeout attrition once the node returns —
 // and serves as the latency comparison floor for bench_failover.
 TEST(FailoverTortureTest, PassiveBaselineStillConverges) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 81;
   opt.detection_enabled = false;
   opt.faults = {Fault(NodeFaultSpec::Kind::kCrash, 2, 40, 40)};
@@ -213,7 +216,7 @@ TEST(FailoverTortureTest, PassiveBaselineStillConverges) {
 // workload without the subsystem: no deaths, no quiesces, no refusals —
 // the detector is pure observation on the healthy path.
 TEST(FailoverTortureTest, FaultFreeRunIsQuiet) {
-  FailoverTortureOptions opt;
+  PlaneTortureOptions opt;
   opt.seed = 91;
   auto r = RunCell("fo_quiet", opt);
   EXPECT_EQ(r.deaths_declared, 0u);
@@ -228,11 +231,11 @@ TEST(FailoverTortureTest, FaultFreeRunIsQuiet) {
 // the detector on equals the run with it off — on the healthy path the
 // subsystem changes nothing observable.
 TEST(FailoverTortureTest, FaultFreeDetectionIsObservationOnly) {
-  FailoverTortureOptions on;
+  PlaneTortureOptions on;
   on.seed = 92;
   auto r_on = RunCell("fo_eq_on", on);
 
-  FailoverTortureOptions off;
+  PlaneTortureOptions off;
   off.seed = 92;
   off.detection_enabled = false;
   auto r_off = RunCell("fo_eq_off", off);
